@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .credit import CreditScenario
 from .errors import DataValidationError
-from .metrics import score_investigator
+from .metrics import ScoredPaper, _card, _scored_paper
 from .model import ScoreCard, ValidatedDataset
 from .stats import mean_sd, pearson, significance_mark, welch_t_test
 from .toughness import ToughnessTable
@@ -280,13 +280,18 @@ def trend(
         and (tier is None or dataset.profiles[pid].tier == tier)
     ]
 
+    # One pass over each investigator's records values every paper once;
+    # each (investigator, year) keeps only its card.
+    by_year: dict[int, list[ScoreCard]] = {year: [] for year in range(start, end + 1)}
+    for pid in pi_ids:
+        papers: dict[int, list[ScoredPaper]] = {}
+        for rec in dataset.corresponding_papers(pid, span):
+            papers.setdefault(rec.year, []).append(_scored_paper(dataset, rec, table, scenario))
+        for year, group in papers.items():
+            by_year[year].append(_card(dataset, pid, (year, year), group))
+
     points = []
-    for year in range(start, end + 1):
-        cards = [
-            score_investigator(dataset, pid, (year, year), table, scenario)
-            for pid in pi_ids
-        ]
-        scored = [c for c in cards if c.scored]
+    for year, scored in by_year.items():
         if scored:
             points.append(
                 TrendPoint(

@@ -64,7 +64,6 @@ class RunConfig:
     out: Optional[Path] = None
     out_dir: Path = Path(".")
     format: str = "csv"
-    jobs: int = 1
     seed: int = 42
     pis: int = 100
     journal_count: int = 40
@@ -179,7 +178,7 @@ def _load_table(config: RunConfig) -> ToughnessTable:
 def _score(config: RunConfig, dataset: ValidatedDataset, table: ToughnessTable):
     if config.period is None:
         raise UsageError("--period is required (flag or config file)")
-    cards = score_all(dataset, config.period, table, config.scenario, jobs=config.jobs)
+    cards = score_all(dataset, config.period, table, config.scenario)
     scored = sum(1 for c in cards if c.scored)
     log.info("scored %d of %d investigators (%d unscored)",
              scored, len(cards), len(cards) - scored)
@@ -329,8 +328,6 @@ def _add_scoring_options(parser) -> None:
     parser.add_argument("--scenario", default=None,
                         type=CreditScenario, choices=list(CreditScenario),
                         metavar="{ranked,tied}", help="credit scenario (default ranked)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel scoring threads (default 1)")
 
 
 def _add_output_options(parser) -> None:

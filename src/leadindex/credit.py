@@ -16,7 +16,7 @@ import enum
 import threading
 
 # Prefix cache of harmonic numbers, extended lazily under a lock so that
-# concurrent scoring threads never observe a partially grown list.
+# callers on concurrent threads never observe a partially grown list.
 # _HARMONIC[k] holds H_k accumulated with Neumaier compensation, which keeps
 # tail differences H_n - H_{i-1} accurate to ~1 ulp out to n ~ 10^4 and beyond.
 _HARMONIC: list[float] = [0.0]

@@ -13,13 +13,12 @@ formulations survive large corpora.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .credit import CreditScenario, scenario_share
 from .errors import UndefinedMetricError
-from .model import ScoreCard, ValidatedDataset
+from .model import PublicationRecord, ScoreCard, ValidatedDataset
 from .toughness import ToughnessTable, weighted_if
 
 
@@ -106,47 +105,29 @@ def leadership_from_funding(o: float, funding: float) -> float:
     return o / math.sqrt(funding)
 
 
-def scored_papers(
+def _scored_paper(
+    dataset: ValidatedDataset,
+    rec: PublicationRecord,
+    table: ToughnessTable,
+    scenario: CreditScenario,
+) -> ScoredPaper:
+    """One corresponding-author record, valued and credited."""
+    raw = dataset.resolved_if[rec.paper_id]
+    return ScoredPaper(
+        paper_id=rec.paper_id,
+        value_raw=raw,
+        value=weighted_if(table, raw),
+        a=scenario_share(rec.author_count, rec.credit_position, rec.tie_span, scenario),
+    )
+
+
+def _card(
     dataset: ValidatedDataset,
     pi_id: str,
     period: tuple[int, int],
-    table: ToughnessTable,
-    scenario: CreditScenario = CreditScenario.RANKED,
-) -> list[ScoredPaper]:
-    """The PI's corresponding-author papers in the period, valued and credited."""
-    out = []
-    for rec in dataset.corresponding_papers(pi_id, period):
-        raw = dataset.resolved_if[rec.paper_id]
-        out.append(
-            ScoredPaper(
-                paper_id=rec.paper_id,
-                value_raw=raw,
-                value=weighted_if(table, raw),
-                a=scenario_share(rec.author_count, rec.credit_position, rec.tie_span, scenario),
-            )
-        )
-    return out
-
-
-def score_investigator(
-    dataset: ValidatedDataset,
-    pi_id: str,
-    period: tuple[int, int],
-    table: ToughnessTable,
-    scenario: CreditScenario = CreditScenario.RANKED,
+    papers: list[ScoredPaper],
 ) -> ScoreCard:
-    """All five metrics for one investigator over [start, end] inclusive.
-
-    Investigators with no eligible papers get an unscored card. The funding
-    variant l_fund is filled in when the profile carries a positive total.
-    """
-    if pi_id not in dataset.profiles:
-        raise KeyError(f"unknown pi_id {pi_id}")
-    start, end = period
-    if start > end:
-        raise ValueError(f"period start {start} after end {end}")
-
-    papers = scored_papers(dataset, pi_id, period, table, scenario)
+    """The card of one investigator's papers in a period; unscored when empty."""
     if not papers:
         return ScoreCard(
             pi_id=pi_id,
@@ -183,27 +164,38 @@ def score_investigator(
     )
 
 
+def score_investigator(
+    dataset: ValidatedDataset,
+    pi_id: str,
+    period: tuple[int, int],
+    table: ToughnessTable,
+    scenario: CreditScenario = CreditScenario.RANKED,
+) -> ScoreCard:
+    """All five metrics for one investigator over [start, end] inclusive.
+
+    Investigators with no eligible papers get an unscored card. The funding
+    variant l_fund is filled in when the profile carries a positive total.
+    """
+    if pi_id not in dataset.profiles:
+        raise KeyError(f"unknown pi_id {pi_id}")
+    start, end = period
+    if start > end:
+        raise ValueError(f"period start {start} after end {end}")
+    papers = [
+        _scored_paper(dataset, rec, table, scenario)
+        for rec in dataset.corresponding_papers(pi_id, period)
+    ]
+    return _card(dataset, pi_id, period, papers)
+
+
 def score_all(
     dataset: ValidatedDataset,
     period: tuple[int, int],
     table: ToughnessTable,
     scenario: CreditScenario = CreditScenario.RANKED,
-    jobs: int = 1,
 ) -> list[ScoreCard]:
-    """Score every profiled investigator, sorted by pi_id.
-
-    score_investigator is a pure function of immutable inputs, so the
-    result is identical for any jobs value; jobs > 1 just fans the loop
-    out over a thread pool.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    pi_ids = dataset.pi_ids
-
-    def one(pid: str) -> ScoreCard:
-        return score_investigator(dataset, pid, period, table, scenario)
-
-    if jobs == 1 or len(pi_ids) < 2:
-        return [one(pid) for pid in pi_ids]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, pi_ids))
+    """Score every profiled investigator, sorted by pi_id."""
+    return [
+        score_investigator(dataset, pid, period, table, scenario)
+        for pid in dataset.pi_ids
+    ]

@@ -17,12 +17,9 @@ from .analysis import (
     BinSeries,
     CohortReport,
     CorrelationRow,
-    ExcludedSample,
-    TimeBin,
     TrendSeries,
     COHORT_METRICS,
 )
-from .errors import FileFormatError
 from .model import ScoreCard
 
 Pathish = Union[str, Path]
@@ -176,39 +173,3 @@ def emit_correlations(
         _write_rows(out_dir / "correlations", CORRELATION_COLUMNS, table, fmt),
         _write_plot(out_dir / "funding_scatter.tsv", [list(s) for s in samples]),
     ]
-
-
-def read_bins(path: Pathish, excluded_path: Optional[Pathish] = None,
-              default_step: float = 0.5) -> BinSeries:
-    """Parse an emitted bins CSV back into a BinSeries (for re-emission)."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != BIN_COLUMNS:
-            raise FileFormatError([f"{path}: bad header, expected {','.join(BIN_COLUMNS)}"])
-        bins = []
-        step = default_step
-        for row in reader:
-            if len(row) != 4:
-                raise FileFormatError([f"{path}:{reader.line_num}: expected 4 fields"])
-            step = float(row[0])
-            bins.append(TimeBin(center=float(row[1]), mean_leadership=float(row[2]),
-                                count=int(row[3])))
-    excluded = []
-    if excluded_path is not None:
-        with open(excluded_path, newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header != BIN_EXCLUDED_COLUMNS:
-                raise FileFormatError(
-                    [f"{excluded_path}: bad header, expected {','.join(BIN_EXCLUDED_COLUMNS)}"]
-                )
-            for row in reader:
-                if len(row) != 3:
-                    raise FileFormatError(
-                        [f"{excluded_path}:{reader.line_num}: expected 3 fields"]
-                    )
-                excluded.append(ExcludedSample(t=float(row[0]), leadership=float(row[1]),
-                                               reason=row[2]))
-    return BinSeries(step=step, bins=tuple(bins), excluded=tuple(excluded))

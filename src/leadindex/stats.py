@@ -134,6 +134,20 @@ def welch_t_test(a: list[float], b: list[float]) -> tuple[float, float, float]:
     return t, df, t_two_sided_p(t, df)
 
 
+def _unit_deviations(values: list[float]) -> list[float]:
+    """values - values[0], divided by the largest absolute deviation."""
+    first = values[0]
+    deviations = [v - first for v in values]
+    scale = max(abs(d) for d in deviations)
+    if math.isinf(scale):
+        # The spread itself overflows the float range; work on halves.
+        deviations = [v / 2 - first / 2 for v in values]
+        scale = max(abs(d) for d in deviations)
+    if scale == 0.0:
+        raise ValueError("pearson is undefined for a zero-variance input")
+    return [d / scale for d in deviations]
+
+
 def pearson(x: list[float], y: list[float]) -> tuple[float, float]:
     """Pearson correlation coefficient and its two-sided p-value.
 
@@ -145,19 +159,18 @@ def pearson(x: list[float], y: list[float]) -> tuple[float, float]:
         raise ValueError(f"length mismatch: {n} vs {len(y)}")
     if n < 3:
         raise ValueError("pearson requires at least three paired values")
-    mx = math.fsum(x) / n
-    my = math.fsum(y) / n
-    sxy = math.fsum((xi - mx) * (yi - my) for xi, yi in zip(x, y))
-    sxx = math.fsum((xi - mx) ** 2 for xi in x)
-    syy = math.fsum((yi - my) ** 2 for yi in y)
-    if sxx == 0.0 or syy == 0.0:
-        raise ValueError("pearson is undefined for a zero-variance input")
+    # Shift by the first value and scale by the largest deviation before
+    # taking means: the deviations then lie in [-1, 1], so tiny spreads
+    # around a large offset keep their precision and squares cannot
+    # underflow.
+    dx = _unit_deviations(x)
+    dy = _unit_deviations(y)
+    mx = math.fsum(dx) / n
+    my = math.fsum(dy) / n
+    sxy = math.fsum((xi - mx) * (yi - my) for xi, yi in zip(dx, dy))
+    sxx = math.fsum((xi - mx) ** 2 for xi in dx)
+    syy = math.fsum((yi - my) ** 2 for yi in dy)
     denom = math.sqrt(sxx * syy)
-    if denom == 0.0:
-        # sxx * syy underflowed; the split form loses an ulp but survives
-        denom = math.sqrt(sxx) * math.sqrt(syy)
-    if denom == 0.0:
-        raise ValueError("pearson is undefined for a zero-variance input")
     r = sxy / denom
     r = max(-1.0, min(1.0, r))
     df = n - 2

@@ -15,8 +15,9 @@ from leadindex.analysis import (
     funding_correlations,
     trend,
 )
-from leadindex.credit import a_index
+from leadindex.credit import CreditScenario, scenario_share
 from leadindex.errors import DataValidationError
+from leadindex.metrics import score_all
 from leadindex.model import (
     Gender,
     InvestigatorProfile,
@@ -324,38 +325,56 @@ class TestTrend:
         with pytest.raises(ValueError):
             trend(build_trend_dataset(), one_level_table, (2012, 2010))
 
-    def test_matches_naive_regroup_oracle(self, one_level_table):
+    def test_matches_naive_regroup_oracle(self, two_level_table):
+        # JA (IF 3.0) sits in the top level of two_level_table and weighs 2;
+        # JB (IF 1.5) sits in the bottom level and weighs 1.
         rng = random.Random(31)
         publications = []
-        journals = [JournalYearIF("JA", y, 3.0) for y in range(2008, 2013)]
+        weighted = {"JA": 6.0, "JB": 1.5}
+        journals = [JournalYearIF(j, y, 3.0 if j == "JA" else 1.5)
+                    for j in weighted for y in range(2007, 2014)]
         profiles = [InvestigatorProfile(f"P{i}", "CN", 1) for i in range(8)]
-        for i in range(60):
+        for i in range(80):
             n = rng.randint(1, 6)
+            position = rng.randint(1, n)
             publications.append(
                 PublicationRecord(f"p{i}", f"P{rng.randrange(8)}",
-                                  rng.randint(2008, 2012), "JA", n,
-                                  rng.randint(1, n))
+                                  rng.randint(2007, 2013), rng.choice(("JA", "JB")),
+                                  n, position, rng.randint(1, n - position + 1),
+                                  rng.random() < 0.8)
             )
+        assert any(r.tie_span > 1 for r in publications)
         dataset = validate_dataset(publications, journals, profiles)
-        series = trend(dataset, one_level_table, (2008, 2012))
 
-        for point in series.points:
-            leads = []
-            for pid in sorted(p.pi_id for p in profiles):
-                records = [r for r in publications
-                           if r.pi_id == pid and r.year == point.year]
-                if not records:
-                    continue
-                values = [3.0] * len(records)
-                shares = [a_index(r.author_count, r.credit_position) for r in records]
-                o = sum(values)
-                t = sum(v / a for v, a in zip(values, shares)) / o
-                leads.append(o / math.sqrt(t))
-            assert point.n == len(leads)
-            if leads:
-                assert point.leadership == pytest.approx(
-                    sum(leads) / len(leads), rel=1e-9
-                )
+        for scenario in CreditScenario:
+            series = trend(dataset, two_level_table, (2008, 2012), scenario)
+            assert [p.year for p in series.points] == list(range(2008, 2013))
+            for point in series.points:
+                leads = []
+                for pid in sorted(p.pi_id for p in profiles):
+                    records = [r for r in publications if r.pi_id == pid
+                               and r.year == point.year and r.is_corresponding]
+                    if not records:
+                        continue
+                    values = [weighted[r.journal] for r in records]
+                    shares = [scenario_share(r.author_count, r.credit_position,
+                                             r.tie_span, scenario) for r in records]
+                    o = sum(values)
+                    t = sum(v / a for v, a in zip(values, shares)) / o
+                    leads.append(o / math.sqrt(t))
+                assert point.n == len(leads)
+                if leads:
+                    assert point.leadership == pytest.approx(
+                        sum(leads) / len(leads), rel=1e-9
+                    )
+
+                cards = [c for c in score_all(dataset, (point.year, point.year),
+                                              two_level_table, scenario) if c.scored]
+                assert point.n == len(cards)
+                for metric in ("leadership", "o_weighted", "efficiency", "t_equiv"):
+                    expected = (math.fsum(getattr(c, metric) for c in cards) / len(cards)
+                                if cards else None)
+                    assert getattr(point, metric) == expected
 
 
 class TestFundingCorrelations:

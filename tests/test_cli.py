@@ -78,6 +78,18 @@ class TestExitCodes:
                   "--period", "2008-2013"])
         assert exc.value.code == 2
 
+    def test_jobs_flag_and_config_key_are_2(self, dataset_dir, tmp_path):
+        score = ["score", *dataset_flags(dataset_dir),
+                 "--table", str(dataset_dir / "table.csv"),
+                 "--period", "2008:2013", "--out-dir", str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main([*score, "--jobs", "2"])
+        assert exc.value.code == 2
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"jobs": 2}))
+        assert main([*score, "--config", str(config)]) == 2
+        assert main(score) == 0
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

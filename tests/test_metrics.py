@@ -224,12 +224,3 @@ class TestScoreAll:
         cards = score_all(small_dataset, (2010, 2011), two_level_table)
         assert [c.pi_id for c in cards] == ["P1", "P2", "P3"]
         assert [c.scored for c in cards] == [True, True, False]
-
-    def test_parallel_scoring_is_identical(self, small_dataset, two_level_table):
-        serial = score_all(small_dataset, (2010, 2011), two_level_table, jobs=1)
-        parallel = score_all(small_dataset, (2010, 2011), two_level_table, jobs=8)
-        assert serial == parallel
-
-    def test_bad_jobs_rejected(self, small_dataset, two_level_table):
-        with pytest.raises(ValueError):
-            score_all(small_dataset, (2010, 2011), two_level_table, jobs=0)

@@ -6,11 +6,8 @@ import json
 import pytest
 
 from leadindex.analysis import (
-    BinSeries,
     CorrelationRow,
-    ExcludedSample,
     Grouping,
-    TimeBin,
     TrendPoint,
     TrendSeries,
     bin_by_time,
@@ -24,7 +21,6 @@ from leadindex.reports import (
     emit_scorecards,
     emit_trend,
     fmt_float,
-    read_bins,
 )
 
 
@@ -134,20 +130,6 @@ class TestBins:
         first = lines[0].split("\t")
         assert first[0] == "1"
         assert float(first[1]) == 3.0
-
-    def test_emit_read_emit_is_stable(self, tmp_path):
-        series = self.series()
-        first = emit_bins(series, tmp_path / "a")
-        parsed = read_bins(first[0], first[1])
-        second = emit_bins(parsed, tmp_path / "b")
-        for a, b in zip(first, second):
-            assert a.read_bytes() == b.read_bytes()
-
-    def test_read_bins_rejects_foreign_header(self, tmp_path):
-        bad = tmp_path / "bins.csv"
-        bad.write_text("x,y\n1,2\n")
-        with pytest.raises(Exception):
-            read_bins(bad)
 
     def test_excluded_reasons_survive(self, tmp_path):
         paths = emit_bins(self.series(), tmp_path)

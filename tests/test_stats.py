@@ -7,6 +7,7 @@ before this module was written.
 
 import math
 import statistics
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,20 @@ class TestWelch:
         assert p_ab == pytest.approx(p_ba, abs=1e-12)
 
 
+def exact_pearson_r(x, y):
+    """Pearson r of the given floats in rational arithmetic; None without variance."""
+    fx = [Fraction(v) for v in x]
+    fy = [Fraction(v) for v in y]
+    mx = sum(fx) / len(fx)
+    my = sum(fy) / len(fy)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(fx, fy))
+    sxx = sum((a - mx) ** 2 for a in fx)
+    syy = sum((b - my) ** 2 for b in fy)
+    if sxx == 0 or syy == 0:
+        return None
+    return math.copysign(math.sqrt(sxy * sxy / (sxx * syy)), sxy)
+
+
 class TestPearson:
     def test_exact_linear_relation(self):
         r, p = pearson([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
@@ -137,6 +152,17 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    def test_collinear_values_near_an_ulp_apart(self):
+        # Centering on unscaled means rounded these to r = 0.9428.
+        r, p = pearson([0.0, 0.0, 2.220446049250313e-16], [1.0, 1.0, 1.0000000000000004])
+        assert r == 1.0
+        assert p == 0.0
+
+    def test_spread_beyond_float_range(self):
+        x = [-1e308, 1e308, 0.0, 5e307]
+        r, _ = pearson(x, [1.0, 2.0, 1.5, 3.0])
+        assert r == pytest.approx(exact_pearson_r(x, [1.0, 2.0, 1.5, 3.0]), abs=1e-12)
+
     @given(
         st.lists(st.floats(min_value=-50, max_value=50), min_size=3, max_size=40),
         st.floats(min_value=0.01, max_value=100),
@@ -144,13 +170,18 @@ class TestPearson:
     )
     @settings(max_examples=60)
     def test_invariant_under_positive_affine_maps(self, x, scale, shift):
+        # Rounding in the map itself can change r (x=[0, 2**-52, 2.58e-17],
+        # scale 1, shift 1 gives r = 0.99434), so each r is checked against
+        # the exact r of the floats actually passed.
         y = [0.7 * v + math.sin(v) for v in x]
-        try:
-            r_base, _ = pearson(x, y)
-            r_mapped, _ = pearson(x, [scale * v + shift for v in y])
-        except ValueError:
-            return  # degenerate draw: variance zero (possibly after the map)
-        assert r_mapped == pytest.approx(r_base, abs=1e-12)
+        for values in (y, [scale * v + shift for v in y]):
+            expected = exact_pearson_r(x, values)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    pearson(x, values)
+            else:
+                r, _ = pearson(x, values)
+                assert r == pytest.approx(expected, abs=1e-12)
 
 
 class TestIncompleteBeta:
