@@ -226,8 +226,10 @@ def bin_by_time(
     exclude list (exact match) or above max_t go to the excluded list with
     a reason; everything else lands in exactly one bin.
     """
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and > 0, got {step}")
+    if max_t is not None and math.isnan(max_t):
+        raise ValueError("max_t must not be NaN")
     excluded_ts = set(exclude) if exclude else set()
 
     bins: dict[int, list[float]] = {}

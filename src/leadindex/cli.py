@@ -12,9 +12,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from . import fileio, reports, synth
 from .analysis import Grouping, bin_by_time, cohort_report, funding_correlations, trend
@@ -34,112 +32,78 @@ log = logging.getLogger("leadindex")
 
 
 class UsageError(Exception):
-    """Bad option combination discovered after argparse (exit code 2)."""
+    """Bad option combination or config value found outside argparse (exit 2)."""
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved options for one run (CLI flags over config file)."""
-
-    publications: Optional[Path] = None
-    journals: Optional[Path] = None
-    profiles: Optional[Path] = None
-    grants: Optional[Path] = None
-    corpus: Optional[Path] = None
-    table: Optional[Path] = None
-    period: Optional[tuple[int, int]] = None
-    span: Optional[tuple[int, int]] = None
-    levels: int = 10
-    divisor_mode: DivisorMode = DivisorMode.GEOMETRIC_SUM
-    scenario: CreditScenario = CreditScenario.RANKED
-    if_fallback: IFFallback = IFFallback.OFF
-    grouping: Optional[Grouping] = None
-    reference_group: Optional[str] = None
-    age_reference_year: Optional[int] = None
-    country: Optional[str] = None
-    tier: Optional[int] = None
-    step: float = 0.5
-    max_t: Optional[float] = None
-    exclude_t: tuple[float, ...] = ()
-    out: Optional[Path] = None
-    out_dir: Path = Path(".")
-    format: str = "csv"
-    seed: int = 42
-    pis: int = 100
-    journal_count: int = 40
-    years: tuple[int, int] = (2008, 2013)
-    papers_mean: float = 8.0
-
-
-_DEFAULTS = RunConfig()
 
 def _parse_span(text, name: str) -> tuple[int, int]:
-    if isinstance(text, (list, tuple)) and len(text) == 2:
-        return int(text[0]), int(text[1])
-    parts = str(text).split(":")
+    if isinstance(text, list):  # config-file form [START, END]
+        text = ":".join(map(str, text))
+    parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"{name} must look like START:END, got {text!r}")
     return int(parts[0]), int(parts[1])
 
 
 def _parse_exclude(value) -> tuple[float, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    return tuple(float(x) for x in str(value).split(",") if x != "")
+    if isinstance(value, list):  # config-file form [T, ...]
+        value = ",".join(map(str, value))
+    return tuple(float(x) for x in value.split(",") if x != "")
 
 
-_PARSERS = {
-    "publications": Path, "journals": Path, "profiles": Path, "grants": Path,
-    "corpus": Path, "table": Path, "out": Path, "out_dir": Path,
-    "period": lambda s: _parse_span(s, "period"),
-    "span": lambda s: _parse_span(s, "span"),
-    "years": lambda s: _parse_span(s, "years"),
-    "divisor_mode": DivisorMode, "scenario": CreditScenario,
-    "if_fallback": IFFallback, "grouping": Grouping,
-    "exclude_t": _parse_exclude,
-}
+def _config_value(action: argparse.Action, value):
+    """Convert one config value as argparse converts the flag's text."""
+    if not isinstance(value, list):
+        value = str(value)
+    elif action.type is None:
+        raise ValueError(f"expected one value, got {value!r}")
+    if action.type is not None:
+        value = action.type(value)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"invalid choice {value!r}")
+    return value
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    """Merge CLI flags over the optional JSON config over defaults."""
-    file_config = {}
-    if getattr(args, "config", None) is not None:
-        with open(args.config, encoding="utf-8") as f:
-            file_config = json.load(f)
-        if not isinstance(file_config, dict):
-            raise UsageError(f"{args.config}: config must be a JSON object")
-        unknown = set(file_config) - set(RunConfig.__dataclass_fields__)
-        if unknown:
-            raise UsageError(f"{args.config}: unknown config keys: {', '.join(sorted(unknown))}")
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Install the --config file's values as the subcommand's defaults.
 
+    Keys of other subcommands are ignored; unknown keys and values the flag
+    would reject are usage errors. Explicit flags still win on re-parse.
+    """
+    with open(args.config, encoding="utf-8") as f:
+        file_config = json.load(f)
+    if not isinstance(file_config, dict):
+        raise UsageError(f"{args.config}: config must be a JSON object")
+    subparsers = next(a.choices for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {a.dest: a for a in p._actions if a.dest not in ("help", "config")}
+        for name, p in subparsers.items()
+    }
+    unknown = set(file_config).difference(*options.values())
+    if unknown:
+        raise UsageError(f"{args.config}: unknown config keys: {', '.join(sorted(unknown))}")
+    own = options[args.command]
     values = {}
-    for field in RunConfig.__dataclass_fields__:
-        cli_value = getattr(args, field, None)
-        if cli_value is not None:
-            values[field] = cli_value
-        elif field in file_config and file_config[field] is not None:
-            raw = file_config[field]
-            convert = _PARSERS.get(field)
+    for key, value in file_config.items():
+        if key in own and value is not None:
             try:
-                values[field] = convert(raw) if convert else raw
-            except ValueError as exc:
-                raise UsageError(f"config key {field}: {exc}") from None
-        else:
-            values[field] = getattr(_DEFAULTS, field)
-    return RunConfig(**values)
+                values[key] = _config_value(own[key], value)
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"{args.config}: config key {key}: {exc}") from None
+    subparsers[args.command].set_defaults(**values)
 
 
-def _load_dataset(config: RunConfig) -> ValidatedDataset:
+def _load_dataset(args: argparse.Namespace) -> ValidatedDataset:
     for name in ("publications", "journals", "profiles"):
-        if getattr(config, name) is None:
+        if getattr(args, name) is None:
             raise UsageError(f"--{name} is required (flag or config file)")
-    publications = fileio.read_publications(config.publications)
-    journals = fileio.read_journals(config.journals)
-    profiles = fileio.read_profiles(config.profiles)
-    if config.grants is not None:
-        totals = aggregate_grants(fileio.read_grants(config.grants))
+    publications = fileio.read_publications(args.publications)
+    journals = fileio.read_journals(args.journals)
+    profiles = fileio.read_profiles(args.profiles)
+    if args.grants is not None:
+        totals = aggregate_grants(fileio.read_grants(args.grants))
         profiles = apply_funding(profiles, totals)
-    dataset = validate_dataset(publications, journals, profiles, config.if_fallback)
+    dataset = validate_dataset(publications, journals, profiles, args.if_fallback)
     corresponding = sum(1 for r in dataset.publications if r.is_corresponding)
     log.info("publications: %d total, %d corresponding-author",
              len(dataset.publications), corresponding)
@@ -149,15 +113,15 @@ def _load_dataset(config: RunConfig) -> ValidatedDataset:
     return dataset
 
 
-def _load_table(config: RunConfig) -> ToughnessTable:
-    if config.table is not None:
-        table = fileio.read_toughness_table(config.table)
+def _load_table(args: argparse.Namespace) -> ToughnessTable:
+    if args.table is not None:
+        table = fileio.read_toughness_table(args.table)
         log.info("toughness table: %d levels over %d papers (loaded)",
                  table.level_count, table.total_papers)
         return table
-    if config.corpus is None:
+    if args.corpus is None:
         raise UsageError("need --table or --corpus (flag or config file)")
-    rows = fileio.read_toughness_corpus(config.corpus)
+    rows = fileio.read_toughness_corpus(args.corpus)
     estimates, warnings = estimate_paper_counts(
         (f"{journal} ({year})", citations, impact)
         for journal, year, citations, impact in rows
@@ -166,8 +130,8 @@ def _load_table(config: RunConfig) -> ToughnessTable:
         log.warning("%s", warning)
     table = build_table(
         ((count, impact) for _, count, impact in estimates),
-        level_count=config.levels,
-        divisor_mode=config.divisor_mode,
+        level_count=args.levels,
+        divisor_mode=args.divisor_mode,
     )
     log.info("toughness table: %d levels over %d papers (base %d, %s)",
              table.level_count, table.total_papers, table.base_count,
@@ -175,10 +139,10 @@ def _load_table(config: RunConfig) -> ToughnessTable:
     return table
 
 
-def _score(config: RunConfig, dataset: ValidatedDataset, table: ToughnessTable):
-    if config.period is None:
+def _score(args: argparse.Namespace, dataset: ValidatedDataset, table: ToughnessTable):
+    if args.period is None:
         raise UsageError("--period is required (flag or config file)")
-    cards = score_all(dataset, config.period, table, config.scenario)
+    cards = score_all(dataset, args.period, table, args.scenario)
     scored = sum(1 for c in cards if c.scored)
     log.info("scored %d of %d investigators (%d unscored)",
              scored, len(cards), len(cards) - scored)
@@ -191,105 +155,97 @@ def _log_written(paths) -> None:
 
 
 def cmd_validate(args) -> int:
-    config = _resolve(args)
-    _load_dataset(config)
+    _load_dataset(args)
     log.info("validation passed")
     return 0
 
 
 def cmd_toughness_build(args) -> int:
-    config = _resolve(args)
-    if config.corpus is None:
+    if args.corpus is None:
         raise UsageError("--corpus is required (flag or config file)")
-    if config.out is None:
+    if args.out is None:
         raise UsageError("--out is required (flag or config file)")
-    table = _load_table(config)
-    fileio.write_toughness_table(config.out, table)
-    log.info("wrote %s", config.out)
+    table = _load_table(args)
+    fileio.write_toughness_table(args.out, table)
+    log.info("wrote %s", args.out)
     return 0
 
 
 def cmd_score(args) -> int:
-    config = _resolve(args)
-    dataset = _load_dataset(config)
-    table = _load_table(config)
-    cards = _score(config, dataset, table)
-    _log_written(reports.emit_scorecards(cards, config.out_dir, config.format))
+    dataset = _load_dataset(args)
+    table = _load_table(args)
+    cards = _score(args, dataset, table)
+    _log_written(reports.emit_scorecards(cards, args.out_dir, args.format))
     return 0
 
 
 def cmd_report_cohort(args) -> int:
-    config = _resolve(args)
-    if config.grouping is None:
+    if args.grouping is None:
         raise UsageError("--grouping is required (flag or config file)")
-    dataset = _load_dataset(config)
-    table = _load_table(config)
-    cards = _score(config, dataset, table)
+    dataset = _load_dataset(args)
+    table = _load_table(args)
+    cards = _score(args, dataset, table)
     report = cohort_report(
-        dataset, cards, config.grouping,
-        reference_group=config.reference_group,
-        age_reference_year=config.age_reference_year,
+        dataset, cards, args.grouping,
+        reference_group=args.reference_group,
+        age_reference_year=args.age_reference_year,
     )
     log.info("cohort: %d group(s); excluded %d unscored, %d without %s",
              len(report.groups), report.unscored, report.unknown_group,
-             config.grouping.value)
-    _log_written(reports.emit_cohort(report, config.out_dir, config.format))
+             args.grouping.value)
+    _log_written(reports.emit_cohort(report, args.out_dir, args.format))
     return 0
 
 
 def cmd_report_trend(args) -> int:
-    config = _resolve(args)
-    if config.span is None:
+    if args.span is None:
         raise UsageError("--span is required (flag or config file)")
-    dataset = _load_dataset(config)
-    table = _load_table(config)
-    series = trend(dataset, table, config.span, config.scenario,
-                   country=config.country, tier=config.tier)
+    dataset = _load_dataset(args)
+    table = _load_table(args)
+    series = trend(dataset, table, args.span, args.scenario,
+                   country=args.country, tier=args.tier)
     covered = sum(1 for p in series.points if p.n)
     log.info("trend: %d of %d year(s) with scored investigators",
              covered, len(series.points))
-    _log_written(reports.emit_trend(series, config.out_dir, config.format))
+    _log_written(reports.emit_trend(series, args.out_dir, args.format))
     return 0
 
 
 def cmd_report_bins(args) -> int:
-    config = _resolve(args)
-    dataset = _load_dataset(config)
-    table = _load_table(config)
-    cards = _score(config, dataset, table)
+    dataset = _load_dataset(args)
+    table = _load_table(args)
+    cards = _score(args, dataset, table)
     samples = [(c.t_equiv, c.leadership) for c in cards if c.scored]
-    series = bin_by_time(samples, step=config.step, max_t=config.max_t,
-                         exclude=config.exclude_t)
+    series = bin_by_time(samples, step=args.step, max_t=args.max_t,
+                         exclude=args.exclude_t)
     log.info("bins: %d bin(s), %d sample(s) excluded",
              len(series.bins), len(series.excluded))
-    _log_written(reports.emit_bins(series, config.out_dir, config.format))
+    _log_written(reports.emit_bins(series, args.out_dir, args.format))
     return 0
 
 
 def cmd_correlate(args) -> int:
-    config = _resolve(args)
-    dataset = _load_dataset(config)
-    table = _load_table(config)
-    cards = _score(config, dataset, table)
-    if config.country is not None:
-        cards = [c for c in cards if dataset.profiles[c.pi_id].country == config.country]
+    dataset = _load_dataset(args)
+    table = _load_table(args)
+    cards = _score(args, dataset, table)
+    if args.country is not None:
+        cards = [c for c in cards if dataset.profiles[c.pi_id].country == args.country]
     rows, samples = funding_correlations(dataset, cards)
     log.info("correlations: %d funded investigator(s) in %d group row(s)",
              len(samples), len(rows))
-    _log_written(reports.emit_correlations(rows, samples, config.out_dir, config.format))
+    _log_written(reports.emit_correlations(rows, samples, args.out_dir, args.format))
     return 0
 
 
 def cmd_synth(args) -> int:
-    config = _resolve(args)
     synth_config = synth.SynthConfig(
-        seed=config.seed,
-        n_pis=config.pis,
-        n_journals=config.journal_count,
-        years=config.years,
-        papers_per_pi_mean=config.papers_mean,
+        seed=args.seed,
+        n_pis=args.pis,
+        n_journals=args.journal_count,
+        years=args.years,
+        papers_per_pi_mean=args.papers_mean,
     )
-    paths = synth.synth_corpus(synth_config, config.out_dir)
+    paths = synth.synth_corpus(synth_config, args.out_dir)
     _log_written(paths.values())
     return 0
 
@@ -304,7 +260,7 @@ def _add_dataset_options(parser) -> None:
     parser.add_argument("--journals", type=Path, default=None)
     parser.add_argument("--profiles", type=Path, default=None)
     parser.add_argument("--grants", type=Path, default=None)
-    parser.add_argument("--if-fallback", dest="if_fallback", default=None,
+    parser.add_argument("--if-fallback", dest="if_fallback", default=IFFallback.OFF,
                         type=IFFallback, choices=list(IFFallback),
                         metavar="{off,nearest-prior-year}",
                         help="impact-factor year fallback policy (default off)")
@@ -315,9 +271,10 @@ def _add_table_options(parser) -> None:
                         help="prebuilt toughness table file")
     parser.add_argument("--corpus", type=Path, default=None,
                         help="toughness reference corpus CSV")
-    parser.add_argument("--levels", type=int, default=None,
+    parser.add_argument("--levels", type=int, default=10,
                         help="toughness level count (default 10)")
-    parser.add_argument("--divisor-mode", dest="divisor_mode", default=None,
+    parser.add_argument("--divisor-mode", dest="divisor_mode",
+                        default=DivisorMode.GEOMETRIC_SUM,
                         type=DivisorMode, choices=list(DivisorMode),
                         metavar="{geometric_sum,half_pow}")
 
@@ -325,14 +282,14 @@ def _add_table_options(parser) -> None:
 def _add_scoring_options(parser) -> None:
     parser.add_argument("--period", type=lambda s: _parse_span(s, "period"),
                         default=None, help="scoring years, START:END inclusive")
-    parser.add_argument("--scenario", default=None,
+    parser.add_argument("--scenario", default=CreditScenario.RANKED,
                         type=CreditScenario, choices=list(CreditScenario),
                         metavar="{ranked,tied}", help="credit scenario (default ranked)")
 
 
 def _add_output_options(parser) -> None:
-    parser.add_argument("--out-dir", dest="out_dir", type=Path, default=None)
-    parser.add_argument("--format", choices=["csv", "json"], default=None)
+    parser.add_argument("--out-dir", dest="out_dir", type=Path, default=Path("."))
+    parser.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_options(p)
     p.add_argument("--span", type=lambda s: _parse_span(s, "span"), default=None,
                    help="years, START:END inclusive")
-    p.add_argument("--scenario", default=None,
+    p.add_argument("--scenario", default=CreditScenario.RANKED,
                    type=CreditScenario, choices=list(CreditScenario),
                    metavar="{ranked,tied}")
     p.add_argument("--country", default=None)
@@ -395,10 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_options(p)
     _add_table_options(p)
     _add_scoring_options(p)
-    p.add_argument("--step", type=float, default=None, help="bin width (default 0.5)")
+    p.add_argument("--step", type=float, default=0.5, help="bin width (default 0.5)")
     p.add_argument("--max-t", dest="max_t", type=float, default=None,
                    help="exclude samples with T above this")
-    p.add_argument("--exclude-t", dest="exclude_t", default=None,
+    p.add_argument("--exclude-t", dest="exclude_t", default=(),
                    type=_parse_exclude,
                    help="comma-separated T values to exclude")
     _add_output_options(p)
@@ -416,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic dataset")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--pis", type=int, default=None)
-    p.add_argument("--journal-count", dest="journal_count", type=int, default=None)
-    p.add_argument("--years", type=lambda s: _parse_span(s, "years"), default=None,
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--pis", type=int, default=100)
+    p.add_argument("--journal-count", dest="journal_count", type=int, default=40)
+    p.add_argument("--years", type=lambda s: _parse_span(s, "years"), default=(2008, 2013),
                    help="publication years, START:END inclusive")
-    p.add_argument("--papers-mean", dest="papers_mean", type=float, default=None)
-    p.add_argument("--out-dir", dest="out_dir", type=Path, default=None)
+    p.add_argument("--papers-mean", dest="papers_mean", type=float, default=8.0)
+    p.add_argument("--out-dir", dest="out_dir", type=Path, default=Path("."))
     _add_config_option(p)
     p.set_defaults(func=cmd_synth)
 
@@ -434,6 +391,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

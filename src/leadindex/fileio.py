@@ -10,6 +10,7 @@ write/read cycle reproduces values exactly.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -62,7 +63,10 @@ def _parse_int(text: str, field: str) -> int:
 def _parse_float(text: str, field: str) -> float:
     if not _FLOAT_RE.fullmatch(text):
         raise _RowError(f"{field}: not a number: {text!r}")
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise _RowError(f"{field}: not a finite number: {text!r}")
+    return value
 
 
 def _parse_bool(text: str, field: str) -> bool:

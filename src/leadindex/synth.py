@@ -37,8 +37,9 @@ class SynthConfig:
             raise ValueError("sizes must be >= 0")
         if self.years[0] > self.years[1]:
             raise ValueError("years span must be ordered")
-        if self.papers_per_pi_mean < 0:
-            raise ValueError("papers_per_pi_mean must be >= 0")
+        # `not >=` also refuses NaN, on which _poisson would never return.
+        if not (self.papers_per_pi_mean >= 0 and self.author_mean >= 0):
+            raise ValueError("papers_per_pi_mean and author_mean must be >= 0")
         if self.max_authors < 1:
             raise ValueError("max_authors must be >= 1")
         for c in self.countries:

@@ -249,8 +249,11 @@ class TestBinByTime:
         assert series.bins[0].mean_leadership == 3.0
 
     def test_nonpositive_step_rejected(self):
+        for step in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                bin_by_time([], step=step)
         with pytest.raises(ValueError):
-            bin_by_time([], step=0.0)
+            bin_by_time([(30.2, 2.0)], step=0.5, max_t=math.nan)
 
     def test_empty_input(self):
         series = bin_by_time([], step=0.5)

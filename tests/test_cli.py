@@ -28,6 +28,19 @@ def dataset_flags(root):
             "--profiles", str(root / "profiles.csv")]
 
 
+def command_args(command, root, out):
+    """A complete invocation of ``command`` that writes under ``out``."""
+    if command == "toughness-build":
+        return [command, "--corpus", str(root / "toughness_corpus.csv"),
+                "--out", str(out / "table.csv")]
+    args = [command, *dataset_flags(root), "--table", str(root / "table.csv"),
+            "--out-dir", str(out)]
+    if command == "report-trend":
+        return [*args, "--span", "2008:2013"]
+    args += ["--period", "2008:2013"]
+    return [*args, "--grouping", "class"] if command == "report-cohort" else args
+
+
 class TestExitCodes:
     def test_validate_ok(self, dataset_dir):
         assert main(["validate", *dataset_flags(dataset_dir)]) == 0
@@ -184,6 +197,37 @@ class TestConfigFile:
         config = tmp_path / "run.json"
         config.write_text("{nope")
         assert main(["validate", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("command, key, value, flags", [
+        ("report-trend", "tier", "1", ["--tier", "1"]),
+        ("report-cohort", "reference_group", 1, ["--reference-group", "1"]),
+        ("report-bins", "step", "0.25", ["--step", "0.25"]),
+        ("toughness-build", "levels", True, None),
+        ("toughness-build", "levels", 2.5, None),
+        ("score", "format", "xml", None),
+        ("report-bins", "max_t", "x", None),
+        ("score", "scenario", "bogus", None),
+    ])
+    def test_value_is_read_as_its_flag_reads_it(self, dataset_dir, tmp_path,
+                                                command, key, value, flags):
+        """A config value matches the same flag's run byte for byte, or, when
+        the flag would refuse it, exits 2 before writing anything."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        from_config = tmp_path / "config"
+        code = main([*command_args(command, dataset_dir, from_config),
+                     "--config", str(config)])
+        if flags is None:
+            assert code == 2
+            assert not from_config.exists()
+            return
+        assert code == 0
+        from_flags = tmp_path / "flags"
+        assert main([*command_args(command, dataset_dir, from_flags), *flags]) == 0
+        names = sorted(p.name for p in from_flags.iterdir())
+        assert sorted(p.name for p in from_config.iterdir()) == names
+        for name in names:
+            assert (from_config / name).read_bytes() == (from_flags / name).read_bytes()
 
 
 class TestReports:

@@ -132,9 +132,11 @@ class TestStrictParsing:
 
     def test_float_with_junk_rejected(self, tmp_path):
         path = tmp_path / "ifs.csv"
-        self.write_lines(path, ["journal,year,impact_factor", "JA,2010,1.5x"])
-        with pytest.raises(FileFormatError):
-            read_journals(path)
+        for value in ("1.5x", "1e400", "-1e400"):
+            self.write_lines(path, ["journal,year,impact_factor", f"JA,2010,{value}"])
+            with pytest.raises(FileFormatError) as exc:
+                read_journals(path)
+            assert exc.value.errors[0].startswith(f"{path}:2: impact_factor")
 
     @pytest.mark.parametrize("value", ["True", "FALSE", "1", "yes", ""])
     def test_bool_accepts_only_lowercase_words(self, tmp_path, value):

@@ -1,6 +1,7 @@
 """Synthetic dataset generator: determinism and internal consistency."""
 
 import hashlib
+import math
 
 import pytest
 
@@ -58,7 +59,8 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(n_pis=-1), dict(n_journals=-2), dict(years=(2013, 2008)),
-         dict(papers_per_pi_mean=-0.5), dict(max_authors=0)],
+         dict(papers_per_pi_mean=-0.5), dict(max_authors=0),
+         dict(papers_per_pi_mean=math.nan), dict(author_mean=math.nan)],
     )
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
