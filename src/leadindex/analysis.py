@@ -132,6 +132,9 @@ def _group_label(
         return None
     if age_reference_year is None:
         raise ValueError("age_band grouping needs an age reference year")
+    if age_reference_year < profile.birth_year:
+        raise ValueError(f"{profile.pi_id}: age reference year {age_reference_year} "
+                         f"is before birth year {profile.birth_year}")
     return age_band(age_reference_year - profile.birth_year)
 
 
@@ -231,6 +234,8 @@ def bin_by_time(
     if max_t is not None and math.isnan(max_t):
         raise ValueError("max_t must not be NaN")
     excluded_ts = set(exclude) if exclude else set()
+    if not all(map(math.isfinite, excluded_ts)):
+        raise ValueError(f"exclude values must be finite, got {sorted(excluded_ts)}")
 
     bins: dict[int, list[float]] = {}
     excluded: list[ExcludedSample] = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -44,10 +45,27 @@ def _parse_span(text, name: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _float_flag(rule: str, ok):
+    """argparse type: a float for which ``ok`` holds, else a usage error citing ``rule``."""
+
+    def number(text) -> float:
+        value = float(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return number
+
+
+_parse_step = _float_flag("finite and > 0", lambda v: 0 < v < math.inf)
+_parse_max_t = _float_flag("a number, not NaN", lambda v: not math.isnan(v))
+_parse_exclude_t = _float_flag("finite", math.isfinite)
+
+
 def _parse_exclude(value) -> tuple[float, ...]:
     if isinstance(value, list):  # config-file form [T, ...]
         value = ",".join(map(str, value))
-    return tuple(float(x) for x in value.split(",") if x != "")
+    return tuple(_parse_exclude_t(x) for x in value.split(",") if x != "")
 
 
 def _config_value(action: argparse.Action, value):
@@ -88,15 +106,19 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         if key in own and value is not None:
             try:
                 values[key] = _config_value(own[key], value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"{args.config}: config key {key}: {exc}") from None
     subparsers[args.command].set_defaults(**values)
 
 
-def _load_dataset(args: argparse.Namespace) -> ValidatedDataset:
-    for name in ("publications", "journals", "profiles"):
+def _require(args: argparse.Namespace, *names: str) -> None:
+    for name in names:
         if getattr(args, name) is None:
             raise UsageError(f"--{name} is required (flag or config file)")
+
+
+def _load_dataset(args: argparse.Namespace) -> ValidatedDataset:
+    _require(args, "publications", "journals", "profiles")
     publications = fileio.read_publications(args.publications)
     journals = fileio.read_journals(args.journals)
     profiles = fileio.read_profiles(args.profiles)
@@ -113,14 +135,21 @@ def _load_dataset(args: argparse.Namespace) -> ValidatedDataset:
     return dataset
 
 
-def _load_table(args: argparse.Namespace) -> ToughnessTable:
-    if args.table is not None:
-        table = fileio.read_toughness_table(args.table)
-        log.info("toughness table: %d levels over %d papers (loaded)",
-                 table.level_count, table.total_papers)
-        return table
-    if args.corpus is None:
+def _load(args: argparse.Namespace, *required: str) -> tuple[ValidatedDataset, ToughnessTable]:
+    """Refuse missing options before any file is read, then load dataset and table."""
+    _require(args, *required)
+    if args.table is None and args.corpus is None:
         raise UsageError("need --table or --corpus (flag or config file)")
+    dataset = _load_dataset(args)
+    if args.table is None:
+        return dataset, _build_table(args)
+    table = fileio.read_toughness_table(args.table)
+    log.info("toughness table: %d levels over %d papers (loaded)",
+             table.level_count, table.total_papers)
+    return dataset, table
+
+
+def _build_table(args: argparse.Namespace) -> ToughnessTable:
     rows = fileio.read_toughness_corpus(args.corpus)
     estimates, warnings = estimate_paper_counts(
         (f"{journal} ({year})", citations, impact)
@@ -140,8 +169,6 @@ def _load_table(args: argparse.Namespace) -> ToughnessTable:
 
 
 def _score(args: argparse.Namespace, dataset: ValidatedDataset, table: ToughnessTable):
-    if args.period is None:
-        raise UsageError("--period is required (flag or config file)")
     cards = score_all(dataset, args.period, table, args.scenario)
     scored = sum(1 for c in cards if c.scored)
     log.info("scored %d of %d investigators (%d unscored)",
@@ -161,29 +188,22 @@ def cmd_validate(args) -> int:
 
 
 def cmd_toughness_build(args) -> int:
-    if args.corpus is None:
-        raise UsageError("--corpus is required (flag or config file)")
-    if args.out is None:
-        raise UsageError("--out is required (flag or config file)")
-    table = _load_table(args)
+    _require(args, "corpus", "out")
+    table = _build_table(args)
     fileio.write_toughness_table(args.out, table)
     log.info("wrote %s", args.out)
     return 0
 
 
 def cmd_score(args) -> int:
-    dataset = _load_dataset(args)
-    table = _load_table(args)
+    dataset, table = _load(args, "period")
     cards = _score(args, dataset, table)
     _log_written(reports.emit_scorecards(cards, args.out_dir, args.format))
     return 0
 
 
 def cmd_report_cohort(args) -> int:
-    if args.grouping is None:
-        raise UsageError("--grouping is required (flag or config file)")
-    dataset = _load_dataset(args)
-    table = _load_table(args)
+    dataset, table = _load(args, "period", "grouping")
     cards = _score(args, dataset, table)
     report = cohort_report(
         dataset, cards, args.grouping,
@@ -198,10 +218,7 @@ def cmd_report_cohort(args) -> int:
 
 
 def cmd_report_trend(args) -> int:
-    if args.span is None:
-        raise UsageError("--span is required (flag or config file)")
-    dataset = _load_dataset(args)
-    table = _load_table(args)
+    dataset, table = _load(args, "span")
     series = trend(dataset, table, args.span, args.scenario,
                    country=args.country, tier=args.tier)
     covered = sum(1 for p in series.points if p.n)
@@ -212,8 +229,7 @@ def cmd_report_trend(args) -> int:
 
 
 def cmd_report_bins(args) -> int:
-    dataset = _load_dataset(args)
-    table = _load_table(args)
+    dataset, table = _load(args, "period")
     cards = _score(args, dataset, table)
     samples = [(c.t_equiv, c.leadership) for c in cards if c.scored]
     series = bin_by_time(samples, step=args.step, max_t=args.max_t,
@@ -225,8 +241,7 @@ def cmd_report_bins(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    dataset = _load_dataset(args)
-    table = _load_table(args)
+    dataset, table = _load(args, "period")
     cards = _score(args, dataset, table)
     if args.country is not None:
         cards = [c for c in cards if dataset.profiles[c.pi_id].country == args.country]
@@ -269,6 +284,10 @@ def _add_dataset_options(parser) -> None:
 def _add_table_options(parser) -> None:
     parser.add_argument("--table", type=Path, default=None,
                         help="prebuilt toughness table file")
+    _add_corpus_options(parser)
+
+
+def _add_corpus_options(parser) -> None:
     parser.add_argument("--corpus", type=Path, default=None,
                         help="toughness reference corpus CSV")
     parser.add_argument("--levels", type=int, default=10,
@@ -306,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("toughness-build", help="build a toughness table from a corpus")
-    _add_table_options(p)
+    _add_corpus_options(p)
     p.add_argument("--out", type=Path, default=None, help="table file to write")
     _add_config_option(p)
     p.set_defaults(func=cmd_toughness_build)
@@ -352,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_options(p)
     _add_table_options(p)
     _add_scoring_options(p)
-    p.add_argument("--step", type=float, default=0.5, help="bin width (default 0.5)")
-    p.add_argument("--max-t", dest="max_t", type=float, default=None,
+    p.add_argument("--step", type=_parse_step, default=0.5, help="bin width (default 0.5)")
+    p.add_argument("--max-t", dest="max_t", type=_parse_max_t, default=None,
                    help="exclude samples with T above this")
     p.add_argument("--exclude-t", dest="exclude_t", default=(),
                    type=_parse_exclude,

@@ -13,7 +13,7 @@ import csv
 import math
 import re
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import FileFormatError
 from .model import (
@@ -28,26 +28,11 @@ from .toughness import DivisorMode, ToughnessTable
 
 Pathish = Union[str, Path]
 
-PUBLICATIONS_HEADER = [
-    "paper_id", "pi_id", "year", "journal",
-    "author_count", "credit_position", "tie_span", "is_corresponding",
-]
-JOURNALS_HEADER = ["journal", "year", "impact_factor"]
-PROFILES_HEADER = [
-    "pi_id", "country", "class", "gender",
-    "birth_year", "rank", "total_funding", "currency",
-]
-GRANTS_HEADER = ["pi_id", "year", "amount", "currency"]
-CORPUS_HEADER = ["journal", "year", "total_citations", "impact_factor"]
-
 _TABLE_MARKER = "# toughness-table"
 _TABLE_VERSION = 1
 
 _INT_RE = re.compile(r"[+-]?\d+")
 _FLOAT_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
-
-_GENDERS = {g.value: g for g in Gender}
-_RANKS = {r.value: r for r in Rank}
 
 
 class _RowError(ValueError):
@@ -77,117 +62,143 @@ def _parse_bool(text: str, field: str) -> bool:
     raise _RowError(f"{field}: expected true or false, got {text!r}")
 
 
-def _parse_choice(text: str, field: str, choices: dict):
-    if text not in choices:
-        raise _RowError(f"{field}: expected one of {sorted(choices)}, got {text!r}")
-    return choices[text]
+def _choice(enum_type):
+    """Parser for the values of ``enum_type``."""
+    choices = {member.value: member for member in enum_type}
+
+    def parse_choice(text: str, field: str):
+        if text not in choices:
+            raise _RowError(f"{field}: expected one of {sorted(choices)}, got {text!r}")
+        return choices[text]
+
+    return parse_choice
 
 
-def _read_rows(path: Pathish, header: Sequence[str]) -> list[tuple[int, list[str]]]:
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise FileFormatError(
-                [f"{path}: empty file, expected header {','.join(header)}"]
-            ) from None
-        if first != list(header):
-            raise FileFormatError(
-                [f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}"]
-            )
-        return [(reader.line_num, row) for row in reader]
+def _optional(parse=None):
+    """Empty text reads as None; other text goes through ``parse`` (None: kept as text)."""
+
+    def parse_optional(text: str, field: str):
+        if not text:
+            return None
+        return text if parse is None else parse(text, field)
+
+    return parse_optional
 
 
-def _parse_file(path, header, build):
-    """Run ``build(row)`` per data row, collecting every error with its line."""
+def _non_negative(parse):
+    def parse_non_negative(text: str, field: str):
+        value = parse(text, field)
+        if value < 0:
+            raise _RowError(f"{field}: must be >= 0, got {value}")
+        return value
+
+    return parse_non_negative
+
+
+# Each format is its ordered (column, parser) list; None keeps the text as is.
+# Records take the parsed values positionally, so their fields follow this order.
+_PUBLICATIONS = [
+    ("paper_id", None), ("pi_id", None), ("year", _parse_int), ("journal", None),
+    ("author_count", _parse_int), ("credit_position", _parse_int),
+    ("tie_span", _parse_int), ("is_corresponding", _parse_bool),
+]
+_JOURNALS = [("journal", None), ("year", _parse_int), ("impact_factor", _parse_float)]
+_PROFILES = [
+    ("pi_id", None), ("country", None), ("class", _parse_int),
+    ("gender", _optional(_choice(Gender))), ("birth_year", _optional(_parse_int)),
+    ("rank", _optional(_choice(Rank))), ("total_funding", _optional(_parse_float)),
+    ("currency", _optional()),
+]
+_GRANTS = [("pi_id", None), ("year", _parse_int), ("amount", _parse_float),
+           ("currency", None)]
+_CORPUS = [
+    ("journal", None), ("year", _parse_int),
+    ("total_citations", _non_negative(_parse_int)),
+    ("impact_factor", _non_negative(_parse_float)),
+]
+_TABLE = [("weight", _parse_int), ("min_if", _parse_float)]
+
+PUBLICATIONS_HEADER = [name for name, _ in _PUBLICATIONS]
+JOURNALS_HEADER = [name for name, _ in _JOURNALS]
+PROFILES_HEADER = [name for name, _ in _PROFILES]
+GRANTS_HEADER = [name for name, _ in _GRANTS]
+CORPUS_HEADER = [name for name, _ in _CORPUS]
+
+
+def _tuple(*values):
+    return values
+
+
+def _parse_rows(path: Pathish, f, columns, make, header_line: int = 1) -> list:
+    """Check the header line of ``f``, then build ``make(*values)`` per data row.
+
+    Every bad row is reported as ``path:line: ...``, naming its first bad
+    column from the left; all of them are raised together. ``header_line``
+    is the file line ``f`` starts at.
+    """
+    header = [name for name, _ in columns]
+    reader = csv.reader(f)
+    first = next(reader, None)
+    if first is None:
+        raise FileFormatError([f"{path}: missing header {','.join(header)}"])
+    if first != header:
+        raise FileFormatError(
+            [f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}"]
+        )
+    skipped = header_line - 1
     records = []
     errors = []
-    for line, row in _read_rows(path, header):
-        if len(row) != len(header):
-            errors.append(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+    for row in reader:
+        if len(row) != len(columns):
+            errors.append(f"{path}:{reader.line_num + skipped}: expected "
+                          f"{len(columns)} fields, got {len(row)}")
             continue
         try:
-            records.append(build(row))
+            records.append(make(*[
+                text if parse is None else parse(text, name)
+                for (name, parse), text in zip(columns, row)
+            ]))
         except ValueError as exc:  # _RowError or model invariant violation
-            errors.append(f"{path}:{line}: {exc}")
+            errors.append(f"{path}:{reader.line_num + skipped}: {exc}")
     if errors:
         raise FileFormatError(errors)
     return records
 
 
-def read_publications(path: Pathish) -> list[PublicationRecord]:
-    def build(row):
-        return PublicationRecord(
-            paper_id=row[0],
-            pi_id=row[1],
-            year=_parse_int(row[2], "year"),
-            journal=row[3],
-            author_count=_parse_int(row[4], "author_count"),
-            credit_position=_parse_int(row[5], "credit_position"),
-            tie_span=_parse_int(row[6], "tie_span"),
-            is_corresponding=_parse_bool(row[7], "is_corresponding"),
-        )
+def _read_csv(path: Pathish, columns, make) -> list:
+    with open(path, newline="", encoding="utf-8") as f:
+        return _parse_rows(path, f, columns, make)
 
-    return _parse_file(path, PUBLICATIONS_HEADER, build)
+
+def read_publications(path: Pathish) -> list[PublicationRecord]:
+    return _read_csv(path, _PUBLICATIONS, PublicationRecord)
 
 
 def read_journals(path: Pathish) -> list[JournalYearIF]:
-    def build(row):
-        return JournalYearIF(
-            journal=row[0],
-            year=_parse_int(row[1], "year"),
-            impact_factor=_parse_float(row[2], "impact_factor"),
-        )
-
-    return _parse_file(path, JOURNALS_HEADER, build)
+    return _read_csv(path, _JOURNALS, JournalYearIF)
 
 
 def read_profiles(path: Pathish) -> list[InvestigatorProfile]:
-    def build(row):
-        return InvestigatorProfile(
-            pi_id=row[0],
-            country=row[1],
-            tier=_parse_int(row[2], "class"),
-            gender=_parse_choice(row[3], "gender", _GENDERS) if row[3] else None,
-            birth_year=_parse_int(row[4], "birth_year") if row[4] else None,
-            rank=_parse_choice(row[5], "rank", _RANKS) if row[5] else None,
-            total_funding=_parse_float(row[6], "total_funding") if row[6] else None,
-            currency=row[7] if row[7] else None,
-        )
-
-    return _parse_file(path, PROFILES_HEADER, build)
+    return _read_csv(path, _PROFILES, InvestigatorProfile)
 
 
 def read_grants(path: Pathish) -> list[GrantRecord]:
-    def build(row):
-        return GrantRecord(
-            pi_id=row[0],
-            year=_parse_int(row[1], "year"),
-            amount=_parse_float(row[2], "amount"),
-            currency=row[3],
-        )
-
-    return _parse_file(path, GRANTS_HEADER, build)
+    return _read_csv(path, _GRANTS, GrantRecord)
 
 
 def read_toughness_corpus(path: Pathish) -> list[tuple[str, int, int, float]]:
     """Rows of (journal, year, total_citations, impact_factor)."""
-
-    def build(row):
-        citations = _parse_int(row[2], "total_citations")
-        if citations < 0:
-            raise _RowError(f"total_citations: must be >= 0, got {citations}")
-        impact_factor = _parse_float(row[3], "impact_factor")
-        if impact_factor < 0:
-            raise _RowError(f"impact_factor: must be >= 0, got {impact_factor}")
-        return (row[0], _parse_int(row[1], "year"), citations, impact_factor)
-
-    return _parse_file(path, CORPUS_HEADER, build)
+    return _read_csv(path, _CORPUS, _tuple)
 
 
-def _writer(f):
-    return csv.writer(f, lineterminator="\n")
+def _write_csv(path: Pathish, columns, rows: Iterable[list], marker: str = "") -> None:
+    """Write an optional marker line, the header of ``columns``, then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        if marker:
+            f.write(marker + "\n")
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow([name for name, _ in columns])
+        w.writerows(rows)
 
 
 def _fmt_opt(value) -> str:
@@ -199,56 +210,43 @@ def _fmt_opt(value) -> str:
 
 
 def write_publications(path: Pathish, records: Iterable[PublicationRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = _writer(f)
-        w.writerow(PUBLICATIONS_HEADER)
-        for r in records:
-            w.writerow([
-                r.paper_id, r.pi_id, r.year, r.journal,
-                r.author_count, r.credit_position, r.tie_span,
-                "true" if r.is_corresponding else "false",
-            ])
+    _write_csv(path, _PUBLICATIONS, (
+        [r.paper_id, r.pi_id, r.year, r.journal,
+         r.author_count, r.credit_position, r.tie_span,
+         "true" if r.is_corresponding else "false"]
+        for r in records
+    ))
 
 
 def write_journals(path: Pathish, records: Iterable[JournalYearIF]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = _writer(f)
-        w.writerow(JOURNALS_HEADER)
-        for r in records:
-            w.writerow([r.journal, r.year, repr(r.impact_factor)])
+    _write_csv(path, _JOURNALS,
+               ([r.journal, r.year, repr(r.impact_factor)] for r in records))
 
 
 def write_profiles(path: Pathish, records: Iterable[InvestigatorProfile]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = _writer(f)
-        w.writerow(PROFILES_HEADER)
-        for r in records:
-            w.writerow([
-                r.pi_id, r.country, r.tier,
-                r.gender.value if r.gender else "",
-                _fmt_opt(r.birth_year),
-                r.rank.value if r.rank else "",
-                _fmt_opt(r.total_funding),
-                r.currency or "",
-            ])
+    _write_csv(path, _PROFILES, (
+        [r.pi_id, r.country, r.tier,
+         r.gender.value if r.gender else "",
+         _fmt_opt(r.birth_year),
+         r.rank.value if r.rank else "",
+         _fmt_opt(r.total_funding),
+         r.currency or ""]
+        for r in records
+    ))
 
 
 def write_grants(path: Pathish, records: Iterable[GrantRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = _writer(f)
-        w.writerow(GRANTS_HEADER)
-        for r in records:
-            w.writerow([r.pi_id, r.year, repr(r.amount), r.currency])
+    _write_csv(path, _GRANTS,
+               ([r.pi_id, r.year, repr(r.amount), r.currency] for r in records))
 
 
 def write_toughness_corpus(
     path: Pathish, rows: Iterable[tuple[str, int, int, float]]
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = _writer(f)
-        w.writerow(CORPUS_HEADER)
-        for journal, year, citations, impact_factor in rows:
-            w.writerow([journal, year, citations, repr(impact_factor)])
+    _write_csv(path, _CORPUS, (
+        [journal, year, citations, repr(impact_factor)]
+        for journal, year, citations, impact_factor in rows
+    ))
 
 
 def write_toughness_table(path: Pathish, table: ToughnessTable) -> None:
@@ -259,14 +257,11 @@ def write_toughness_table(path: Pathish, table: ToughnessTable) -> None:
         f"total_papers={table.total_papers} "
         f"level_sizes={'|'.join(str(s) for s in table.level_sizes)}"
     )
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(meta + "\n")
-        w = _writer(f)
-        w.writerow(["weight", "min_if"])
-        # The bottom level matches any remaining IF, so its floor is 0.
-        floors = list(table.cutoffs) + [0.0]
-        for weight, min_if in zip(table.weights, floors):
-            w.writerow([weight, repr(min_if)])
+    # The bottom level matches any remaining IF, so its floor is 0.
+    floors = list(table.cutoffs) + [0.0]
+    _write_csv(path, _TABLE, ([weight, repr(min_if)]
+                              for weight, min_if in zip(table.weights, floors)),
+               marker=meta)
 
 
 def read_toughness_table(path: Pathish) -> ToughnessTable:
@@ -278,41 +273,20 @@ def read_toughness_table(path: Pathish) -> ToughnessTable:
         for token in marker[len(_TABLE_MARKER) + 1 :].split():
             key, _, value = token.partition("=")
             meta[key] = value
-        reader = csv.reader(f)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FileFormatError([f"{path}: missing weight,min_if header"]) from None
-        if header != ["weight", "min_if"]:
-            raise FileFormatError([f"{path}: bad header {','.join(header)!r}"])
-        rows = [(reader.line_num, row) for row in reader]
+            version = int(meta.get("v", "0"))
+            levels = int(meta["levels"])
+            mode = DivisorMode(meta["divisor_mode"])
+            base_count = int(meta["base_count"])
+            total_papers = int(meta["total_papers"])
+            level_sizes = tuple(int(s) for s in meta["level_sizes"].split("|"))
+        except (KeyError, ValueError) as exc:
+            raise FileFormatError([f"{path}: bad table metadata: {exc}"]) from None
+        if version != _TABLE_VERSION:
+            raise FileFormatError([f"{path}: unsupported table version {version}"])
+        rows = _parse_rows(path, f, _TABLE, _tuple, header_line=2)
 
-    errors = []
-    try:
-        version = int(meta.get("v", "0"))
-        levels = int(meta["levels"])
-        mode = DivisorMode(meta["divisor_mode"])
-        base_count = int(meta["base_count"])
-        total_papers = int(meta["total_papers"])
-        level_sizes = tuple(int(s) for s in meta["level_sizes"].split("|"))
-    except (KeyError, ValueError) as exc:
-        raise FileFormatError([f"{path}: bad table metadata: {exc}"]) from None
-    if version != _TABLE_VERSION:
-        raise FileFormatError([f"{path}: unsupported table version {version}"])
-
-    weights = []
-    floors = []
-    for line, row in rows:
-        if len(row) != 2:
-            errors.append(f"{path}:{line}: expected 2 fields, got {len(row)}")
-            continue
-        try:
-            weights.append(_parse_int(row[0], "weight"))
-            floors.append(_parse_float(row[1], "min_if"))
-        except ValueError as exc:
-            errors.append(f"{path}:{line}: {exc}")
-    if errors:
-        raise FileFormatError(errors)
+    weights = [weight for weight, _ in rows]
     if weights != list(range(levels, 0, -1)):
         raise FileFormatError(
             [f"{path}: weights must run {levels}..1, got {weights}"]
@@ -320,7 +294,7 @@ def read_toughness_table(path: Pathish) -> ToughnessTable:
     try:
         return ToughnessTable(
             level_count=levels,
-            cutoffs=tuple(floors[:-1]),
+            cutoffs=tuple(min_if for _, min_if in rows[:-1]),
             weights=tuple(weights),
             base_count=base_count,
             total_papers=total_papers,

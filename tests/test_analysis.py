@@ -195,6 +195,17 @@ class TestCohortReport:
         report = cohort_report(profiles_dataset(profiles), cards, Grouping.AGE_BAND)
         assert report.groups[0].group == "36-40"
 
+    def test_reference_year_before_birth_year_rejected(self):
+        profiles = [InvestigatorProfile("P1", "CN", 1, birth_year=1974),
+                    InvestigatorProfile("P2", "CN", 1, birth_year=1980)]
+        cards = [card_from_leadership(p.pi_id, 4.0) for p in profiles]
+        with pytest.raises(ValueError, match="P2"):
+            cohort_report(profiles_dataset(profiles), cards, Grouping.AGE_BAND,
+                          age_reference_year=1979)
+        report = cohort_report(profiles_dataset(profiles), cards, Grouping.AGE_BAND,
+                               age_reference_year=1980)
+        assert [g.group for g in report.groups] == ["Under 36"]
+
     def test_age_bands_sorted_by_age_not_lexicographically(self):
         profiles = [
             InvestigatorProfile("P1", "CN", 1, birth_year=1980),  # Under 36
@@ -254,6 +265,8 @@ class TestBinByTime:
                 bin_by_time([], step=step)
         with pytest.raises(ValueError):
             bin_by_time([(30.2, 2.0)], step=0.5, max_t=math.nan)
+        with pytest.raises(ValueError):
+            bin_by_time([(30.2, 2.0)], step=0.5, exclude=[30.2, math.nan])
 
     def test_empty_input(self):
         series = bin_by_time([], step=0.5)

@@ -77,6 +77,33 @@ class TestExitCodes:
                      "--period", "2008:2013"])
         assert code == 2
 
+    def test_usage_checked_before_any_file_is_read(self, dataset_dir, tmp_path):
+        absent = ["score", "--publications", str(tmp_path / "absent.csv"),
+                  "--journals", str(dataset_dir / "journals.csv"),
+                  "--profiles", str(dataset_dir / "profiles.csv")]
+        # A usage error (2), not the missing file (1).
+        assert main([*absent, "--table", str(dataset_dir / "table.csv")]) == 2
+        assert main([*absent, "--period", "2008:2013"]) == 2
+
+    def test_toughness_build_takes_no_table(self, dataset_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["toughness-build", "--table", str(dataset_dir / "table.csv"),
+                  "--corpus", str(dataset_dir / "toughness_corpus.csv"),
+                  "--out", str(tmp_path / "table.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "table.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--step", "inf"], ["--step", "nan"], ["--step", "0"], ["--step", "-0.5"],
+        ["--max-t", "nan"], ["--exclude-t", "nan"], ["--exclude-t", "1.5,inf"],
+    ], ids=" ".join)
+    def test_bad_bin_option_is_2_before_any_work(self, dataset_dir, tmp_path, flags):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*command_args("report-bins", dataset_dir, out), *flags])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_bad_enum_choice_is_2(self, dataset_dir):
         with pytest.raises(SystemExit) as exc:
             main(["report-cohort", *dataset_flags(dataset_dir),

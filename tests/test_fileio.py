@@ -1,8 +1,11 @@
 """CSV readers/writers: round-trips, strict parsing and error reporting."""
 
+import csv
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from leadindex.errors import FileFormatError
 from leadindex.fileio import (
@@ -181,6 +184,19 @@ class TestStrictParsing:
         with pytest.raises(FileFormatError):
             read_profiles(path)
 
+    @pytest.mark.parametrize("row, column", [
+        ("JA,2009,-1,2.5", "total_citations"),
+        ("JA,2009,10,-0.5", "impact_factor"),
+        ("JA,20x9,-1,-0.5", "year"),  # the first bad column from the left
+    ])
+    def test_corpus_reports_first_bad_column(self, tmp_path, row, column):
+        path = tmp_path / "corpus.csv"
+        self.write_lines(path, ["journal,year,total_citations,impact_factor", row])
+        with pytest.raises(FileFormatError) as exc:
+            read_toughness_corpus(path)
+        assert len(exc.value.errors) == 1
+        assert exc.value.errors[0].startswith(f"{path}:2: {column}:")
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_publications(tmp_path / "absent.csv")
@@ -232,3 +248,122 @@ class TestToughnessTableFile:
         path.write_text(path.read_text().replace("v=1", "v=9"))
         with pytest.raises(FileFormatError):
             read_toughness_table(path)
+
+
+# Text cells: any character but surrogates (not encodable as UTF-8), NUL (which
+# csv.reader refuses before Python 3.11) and carriage return (which csv.writer
+# leaves unquoted, so it does not survive a round trip).
+CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\0")
+TEXT = st.text(CHARS, min_size=1, max_size=12)
+YEARS = st.integers(-10**6, 10**6)
+COUNTS = st.integers(0, 10**12)
+FLOATS = st.floats(min_value=0.0, allow_infinity=False)  # finite and >= 0
+
+
+@st.composite
+def publication_records(draw):
+    authors = draw(st.integers(1, 500))
+    position = draw(st.integers(1, authors))
+    return PublicationRecord(
+        draw(TEXT), draw(TEXT), draw(YEARS), draw(TEXT), authors, position,
+        draw(st.integers(1, authors - position + 1)), draw(st.booleans()),
+    )
+
+
+@st.composite
+def profile_records(draw):
+    funding = draw(st.none() | FLOATS)
+    return InvestigatorProfile(
+        draw(TEXT), draw(TEXT), draw(st.sampled_from([1, 2, 3])),
+        draw(st.none() | st.sampled_from(Gender)), draw(st.none() | YEARS),
+        draw(st.none() | st.sampled_from(Rank)), funding,
+        draw(TEXT if funding is not None else st.none() | TEXT),
+    )
+
+
+@st.composite
+def toughness_tables(draw):
+    levels = draw(st.integers(1, 12))
+    cutoffs = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=levels - 1, max_size=levels - 1))
+    return ToughnessTable(
+        level_count=levels, cutoffs=tuple(sorted(cutoffs, reverse=True)),
+        weights=tuple(range(levels, 0, -1)), base_count=draw(COUNTS),
+        total_papers=draw(COUNTS), divisor_mode=draw(st.sampled_from(DivisorMode)),
+        level_sizes=tuple(draw(st.lists(COUNTS, min_size=levels, max_size=levels))),
+    )
+
+
+# Per format: writer, reader, records, header lines before the first data
+# row, and each typed column with its index.
+FORMATS = {
+    "publications": (
+        write_publications, read_publications, st.lists(publication_records(), max_size=5),
+        1, {"year": 2, "author_count": 4, "credit_position": 5, "tie_span": 6,
+            "is_corresponding": 7},
+    ),
+    "journals": (
+        write_journals, read_journals, st.lists(st.builds(JournalYearIF, TEXT, YEARS, FLOATS),
+                                                max_size=5),
+        1, {"year": 1, "impact_factor": 2},
+    ),
+    "profiles": (
+        write_profiles, read_profiles, st.lists(profile_records(), max_size=5),
+        1, {"class": 2, "gender": 3, "birth_year": 4, "rank": 5, "total_funding": 6},
+    ),
+    "grants": (
+        write_grants, read_grants,
+        st.lists(st.builds(GrantRecord, TEXT, YEARS, FLOATS, TEXT), max_size=5),
+        1, {"year": 1, "amount": 2},
+    ),
+    "corpus": (
+        write_toughness_corpus, read_toughness_corpus,
+        st.lists(st.tuples(st.text(CHARS, max_size=12), YEARS, COUNTS, FLOATS), max_size=5),
+        1, {"year": 1, "total_citations": 2, "impact_factor": 3},
+    ),
+    "table": (
+        write_toughness_table, read_toughness_table, toughness_tables(),
+        2, {"weight": 0, "min_if": 1},
+    ),
+}
+
+# Junk that every typed parser refuses, whatever else the column allows.
+JUNK = (st.sampled_from([" 1", "1.5x", "true ", "nan", "inf", "-", "1e400", "0x10"])
+        | st.text(CHARS, max_size=6).map(lambda t: t + "?"))
+
+
+class TestEveryFormatFuzzed:
+    @pytest.mark.parametrize("name", sorted(FORMATS))
+    @given(data=st.data())
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_valid_records_round_trip(self, tmp_path, name, data):
+        write, read, records, _, _ = FORMATS[name]
+        value = data.draw(records)
+        path = tmp_path / f"{name}.csv"
+        write(path, value)
+        assert read(path) == value
+
+    @pytest.mark.parametrize("name", sorted(FORMATS))
+    @given(data=st.data())
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_junk_in_a_typed_column_names_that_column(self, tmp_path, name, data):
+        """One junk cell gives one error, on its line, naming its column."""
+        write, read, records, header_lines, typed = FORMATS[name]
+        value = data.draw(records.filter(bool))
+        column = data.draw(st.sampled_from(sorted(typed)))
+        path = tmp_path / f"{name}.csv"
+        write(path, value)
+        with open(path, newline="", encoding="utf-8") as f:
+            marker = [f.readline() for _ in range(header_lines - 1)]
+            rows = list(csv.reader(f))
+        row = rows[1]
+        row[typed[column]] = data.draw(JUNK)
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            f.writelines(marker)
+            csv.writer(f, lineterminator="\n").writerows(rows)
+        # A quoted line break in an earlier cell moves the row's last line down.
+        line = header_lines + 1 + sum(cell.count("\n") for cell in row)
+        with pytest.raises(FileFormatError) as exc:
+            read(path)
+        assert len(exc.value.errors) == 1
+        assert exc.value.errors[0].startswith(f"{path}:{line}: {column}:")
