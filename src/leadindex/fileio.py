@@ -13,7 +13,8 @@ import csv
 import math
 import re
 from pathlib import Path
-from typing import Iterable, Union
+from types import SimpleNamespace
+from typing import Iterable, Sequence, Union
 
 from .errors import FileFormatError
 from .model import (
@@ -123,6 +124,7 @@ JOURNALS_HEADER = [name for name, _ in _JOURNALS]
 PROFILES_HEADER = [name for name, _ in _PROFILES]
 GRANTS_HEADER = [name for name, _ in _GRANTS]
 CORPUS_HEADER = [name for name, _ in _CORPUS]
+_TABLE_HEADER = [name for name, _ in _TABLE]
 
 
 def _tuple(*values):
@@ -132,9 +134,9 @@ def _tuple(*values):
 def _parse_rows(path: Pathish, f, columns, make, header_line: int = 1) -> list:
     """Check the header line of ``f``, then build ``make(*values)`` per data row.
 
-    Every bad row is reported as ``path:line: ...``, naming its first bad
-    column from the left; all of them are raised together. ``header_line``
-    is the file line ``f`` starts at.
+    Every bad row is reported as ``path:line: ...``, at the line the row
+    starts on, naming its first bad column from the left; all of them are
+    raised together. ``header_line`` is the file line ``f`` starts at.
     """
     header = [name for name, _ in columns]
     reader = csv.reader(f)
@@ -145,13 +147,13 @@ def _parse_rows(path: Pathish, f, columns, make, header_line: int = 1) -> list:
         raise FileFormatError(
             [f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}"]
         )
-    skipped = header_line - 1
     records = []
     errors = []
+    start = reader.line_num + header_line  # file line the next row starts on
     for row in reader:
+        line, start = start, reader.line_num + header_line
         if len(row) != len(columns):
-            errors.append(f"{path}:{reader.line_num + skipped}: expected "
-                          f"{len(columns)} fields, got {len(row)}")
+            errors.append(f"{path}:{line}: expected {len(columns)} fields, got {len(row)}")
             continue
         try:
             records.append(make(*[
@@ -159,7 +161,7 @@ def _parse_rows(path: Pathish, f, columns, make, header_line: int = 1) -> list:
                 for (name, parse), text in zip(columns, row)
             ]))
         except ValueError as exc:  # _RowError or model invariant violation
-            errors.append(f"{path}:{reader.line_num + skipped}: {exc}")
+            errors.append(f"{path}:{line}: {exc}")
     if errors:
         raise FileFormatError(errors)
     return records
@@ -191,13 +193,22 @@ def read_toughness_corpus(path: Pathish) -> list[tuple[str, int, int, float]]:
     return _read_csv(path, _CORPUS, _tuple)
 
 
-def _write_csv(path: Pathish, columns, rows: Iterable[list], marker: str = "") -> None:
-    """Write an optional marker line, the header of ``columns``, then ``rows``."""
+def _write_csv(
+    path: Pathish, header: Sequence[str], rows: Iterable[list], marker: str = ""
+) -> None:
+    r"""Write an optional marker line, ``header``, then ``rows``, one per "\n" line.
+
+    A cell holding a delimiter, a quote, "\n" or "\r" is quoted, as Python
+    3.13 does. Before 3.13 csv.writer quotes a line break only if it is in
+    the line terminator, so the writer is given "\r\n" and each row it
+    hands over (whole, in one write call) is stored ending in "\n".
+    """
     with open(path, "w", newline="", encoding="utf-8") as f:
         if marker:
             f.write(marker + "\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow([name for name, _ in columns])
+        sink = SimpleNamespace(write=lambda line: f.write(line[:-2] + "\n"))
+        w = csv.writer(sink, lineterminator="\r\n")
+        w.writerow(header)
         w.writerows(rows)
 
 
@@ -210,7 +221,7 @@ def _fmt_opt(value) -> str:
 
 
 def write_publications(path: Pathish, records: Iterable[PublicationRecord]) -> None:
-    _write_csv(path, _PUBLICATIONS, (
+    _write_csv(path, PUBLICATIONS_HEADER, (
         [r.paper_id, r.pi_id, r.year, r.journal,
          r.author_count, r.credit_position, r.tie_span,
          "true" if r.is_corresponding else "false"]
@@ -219,12 +230,12 @@ def write_publications(path: Pathish, records: Iterable[PublicationRecord]) -> N
 
 
 def write_journals(path: Pathish, records: Iterable[JournalYearIF]) -> None:
-    _write_csv(path, _JOURNALS,
+    _write_csv(path, JOURNALS_HEADER,
                ([r.journal, r.year, repr(r.impact_factor)] for r in records))
 
 
 def write_profiles(path: Pathish, records: Iterable[InvestigatorProfile]) -> None:
-    _write_csv(path, _PROFILES, (
+    _write_csv(path, PROFILES_HEADER, (
         [r.pi_id, r.country, r.tier,
          r.gender.value if r.gender else "",
          _fmt_opt(r.birth_year),
@@ -236,14 +247,14 @@ def write_profiles(path: Pathish, records: Iterable[InvestigatorProfile]) -> Non
 
 
 def write_grants(path: Pathish, records: Iterable[GrantRecord]) -> None:
-    _write_csv(path, _GRANTS,
+    _write_csv(path, GRANTS_HEADER,
                ([r.pi_id, r.year, repr(r.amount), r.currency] for r in records))
 
 
 def write_toughness_corpus(
     path: Pathish, rows: Iterable[tuple[str, int, int, float]]
 ) -> None:
-    _write_csv(path, _CORPUS, (
+    _write_csv(path, CORPUS_HEADER, (
         [journal, year, citations, repr(impact_factor)]
         for journal, year, citations, impact_factor in rows
     ))
@@ -259,8 +270,8 @@ def write_toughness_table(path: Pathish, table: ToughnessTable) -> None:
     )
     # The bottom level matches any remaining IF, so its floor is 0.
     floors = list(table.cutoffs) + [0.0]
-    _write_csv(path, _TABLE, ([weight, repr(min_if)]
-                              for weight, min_if in zip(table.weights, floors)),
+    _write_csv(path, _TABLE_HEADER, ([weight, repr(min_if)]
+                                     for weight, min_if in zip(table.weights, floors)),
                marker=meta)
 
 

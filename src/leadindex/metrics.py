@@ -140,9 +140,14 @@ def _card(
             leadership=None,
         )
 
-    o_prime = output_raw(papers)
-    o = output_weighted(papers)
-    t = equivalent_time(papers)
+    try:
+        o_prime = output_raw(papers)
+        o = output_weighted(papers)
+        t = equivalent_time(papers)
+    except OverflowError:  # fsum of finite values beyond the float range
+        raise ValueError(
+            f"investigator {pi_id}: non-finite metric in {period[0]}-{period[1]}"
+        ) from None
     e = efficiency(o, t)
     lead = leadership(o, e)
 

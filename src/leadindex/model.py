@@ -8,7 +8,10 @@ validation and treated as read-only from then on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional
 
 from .errors import DataValidationError
@@ -85,8 +88,9 @@ class JournalYearIF:
     def __post_init__(self):
         if not self.journal:
             raise ValueError("journal must be non-empty")
-        if self.impact_factor < 0:
-            raise ValueError(f"impact_factor must be >= 0, got {self.impact_factor}")
+        if not (math.isfinite(self.impact_factor) and self.impact_factor >= 0):
+            raise ValueError(
+                f"impact_factor must be finite and >= 0, got {self.impact_factor}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +119,8 @@ class InvestigatorProfile:
         if self.tier not in (1, 2, 3):
             raise ValueError(f"tier must be 1, 2 or 3, got {self.tier}")
         if self.total_funding is not None:
-            if self.total_funding < 0:
-                raise ValueError("total_funding must be >= 0")
+            if not (math.isfinite(self.total_funding) and self.total_funding >= 0):
+                raise ValueError("total_funding must be finite and >= 0")
             if not self.currency:
                 raise ValueError("currency required when total_funding is set")
 
@@ -133,8 +137,8 @@ class GrantRecord:
     def __post_init__(self):
         if not self.pi_id:
             raise ValueError("pi_id must be non-empty")
-        if self.amount < 0:
-            raise ValueError(f"amount must be >= 0, got {self.amount}")
+        if not (math.isfinite(self.amount) and self.amount >= 0):
+            raise ValueError(f"amount must be finite and >= 0, got {self.amount}")
         if not self.currency:
             raise ValueError("currency must be non-empty")
 
@@ -144,6 +148,7 @@ class ScoreCard:
     """Per-investigator metrics for one period.
 
     Cards with ``paper_count`` 0 are unscored: every metric field is None.
+    Every metric of a scored card is finite.
     """
 
     pi_id: str
@@ -158,10 +163,14 @@ class ScoreCard:
 
     def __post_init__(self):
         metrics = (self.o_raw, self.o_weighted, self.t_equiv, self.efficiency, self.leadership)
-        if self.paper_count == 0 and any(m is not None for m in metrics):
-            raise ValueError("unscored card (paper_count 0) must carry no metrics")
-        if self.paper_count > 0 and any(m is None for m in metrics):
+        if self.paper_count == 0:
+            if any(m is not None for m in metrics):
+                raise ValueError("unscored card (paper_count 0) must carry no metrics")
+        elif None in metrics:
             raise ValueError("scored card must carry all metrics")
+        elif not all(map(math.isfinite, metrics + (self.l_fund or 0.0,))):
+            start, end = self.period
+            raise ValueError(f"investigator {self.pi_id}: non-finite metric in {start}-{end}")
 
     @property
     def scored(self) -> bool:
@@ -173,7 +182,6 @@ class ValidatedDataset:
     """Cross-checked analysis inputs with impact factors resolved per paper."""
 
     publications: tuple[PublicationRecord, ...]
-    journal_ifs: Mapping[tuple[str, int], float]
     profiles: Mapping[str, InvestigatorProfile]
     resolved_if: Mapping[str, float]
     warnings: tuple[str, ...] = ()
@@ -194,26 +202,6 @@ class ValidatedDataset:
         return sorted(self.profiles)
 
 
-def resolve_impact_factor(
-    journal_ifs: Mapping[tuple[str, int], float],
-    journal: str,
-    year: int,
-    fallback: IFFallback = IFFallback.OFF,
-) -> Optional[float]:
-    """Impact factor for (journal, year) under the fallback policy.
-
-    NEAREST_PRIOR_YEAR falls back to the most recent earlier year with an
-    entry for the same journal. Returns None when nothing matches.
-    """
-    value = journal_ifs.get((journal, year))
-    if value is not None or fallback is IFFallback.OFF:
-        return value
-    prior = [y for (j, y) in journal_ifs if j == journal and y < year]
-    if not prior:
-        return None
-    return journal_ifs[(journal, max(prior))]
-
-
 def validate_dataset(
     publications: Iterable[PublicationRecord],
     journals: Iterable[JournalYearIF],
@@ -221,6 +209,9 @@ def validate_dataset(
     fallback: IFFallback = IFFallback.OFF,
 ) -> ValidatedDataset:
     """Cross-check records and resolve every publication's impact factor.
+
+    A publication takes the latest entry of its journal not after its own
+    year; IFFallback.OFF accepts only an entry for that year itself.
 
     Raises DataValidationError listing every problem found: duplicate
     paper_id or (journal, year) entries, duplicate profiles, publications
@@ -235,13 +226,15 @@ def validate_dataset(
     errors: list[str] = []
     warnings: list[str] = []
 
-    journal_ifs: dict[tuple[str, int], float] = {}
-    for j in journals:
-        key = (j.journal, j.year)
-        if key in journal_ifs:
+    # Per journal, its entry years ascending and their impact factors.
+    index: dict[str, tuple[list[int], list[float]]] = {}
+    for j in sorted(journals, key=attrgetter("journal", "year")):
+        years, ifs = index.setdefault(j.journal, ([], []))
+        if years and years[-1] == j.year:
             errors.append(f"duplicate impact factor entry for {j.journal} {j.year}")
         else:
-            journal_ifs[key] = j.impact_factor
+            years.append(j.year)
+            ifs.append(j.impact_factor)
 
     profile_map: dict[str, InvestigatorProfile] = {}
     for p in profiles:
@@ -250,8 +243,11 @@ def validate_dataset(
         else:
             profile_map[p.pi_id] = p
 
+    any_prior_year = fallback is IFFallback.NEAREST_PRIOR_YEAR
     resolved: dict[str, float] = {}
     seen_papers: set[str] = set()
+    by_pi: dict[str, list[PublicationRecord]] = {}
+    non_corresponding = 0
     for rec in publications:
         if rec.paper_id in seen_papers:
             errors.append(f"duplicate paper_id {rec.paper_id}")
@@ -259,31 +255,30 @@ def validate_dataset(
         seen_papers.add(rec.paper_id)
         if rec.pi_id not in profile_map:
             errors.append(f"paper {rec.paper_id}: unknown pi_id {rec.pi_id}")
-        value = resolve_impact_factor(journal_ifs, rec.journal, rec.year, fallback)
-        if value is None:
+        # years[i - 1] is the latest entry not after rec.year.
+        years, ifs = index.get(rec.journal, ((), ()))
+        i = bisect_right(years, rec.year)
+        if i and (any_prior_year or years[i - 1] == rec.year):
+            resolved[rec.paper_id] = ifs[i - 1]
+        else:
             errors.append(
                 f"paper {rec.paper_id}: no impact factor for {rec.journal} {rec.year}"
             )
+        if rec.is_corresponding:
+            by_pi.setdefault(rec.pi_id, []).append(rec)
         else:
-            resolved[rec.paper_id] = value
+            non_corresponding += 1
 
     if errors:
         raise DataValidationError(sorted(errors))
 
-    non_corresponding = sum(1 for r in publications if not r.is_corresponding)
     if non_corresponding:
         warnings.append(
             f"{non_corresponding} non-corresponding record(s) excluded from scoring"
         )
 
-    by_pi: dict[str, list[PublicationRecord]] = {}
-    for rec in publications:
-        if rec.is_corresponding:
-            by_pi.setdefault(rec.pi_id, []).append(rec)
-
     return ValidatedDataset(
         publications=publications,
-        journal_ifs=journal_ifs,
         profiles=profile_map,
         resolved_if=resolved,
         warnings=tuple(warnings),
@@ -307,6 +302,8 @@ def aggregate_grants(grants: Iterable[GrantRecord]) -> dict[str, tuple[float, st
             totals[g.pi_id] = (amount + g.amount, currency)
         else:
             totals[g.pi_id] = (g.amount, g.currency)
+    errors += [f"pi_id {pi_id}: grant total overflows the float range"
+               for pi_id, (amount, _) in totals.items() if not math.isfinite(amount)]
     if errors:
         raise DataValidationError(sorted(set(errors)))
     return totals
@@ -321,18 +318,6 @@ def apply_funding(
     for p in profiles:
         if p.pi_id in totals:
             amount, currency = totals[p.pi_id]
-            out.append(
-                InvestigatorProfile(
-                    pi_id=p.pi_id,
-                    country=p.country,
-                    tier=p.tier,
-                    gender=p.gender,
-                    birth_year=p.birth_year,
-                    rank=p.rank,
-                    total_funding=amount,
-                    currency=currency,
-                )
-            )
-        else:
-            out.append(p)
+            p = replace(p, total_funding=amount, currency=currency)
+        out.append(p)
     return out

@@ -8,7 +8,6 @@ plot files are headerless delimited text.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -20,6 +19,7 @@ from .analysis import (
     TrendSeries,
     COHORT_METRICS,
 )
+from .fileio import _write_csv
 from .model import ScoreCard
 
 Pathish = Union[str, Path]
@@ -50,15 +50,11 @@ def _json_value(value):
 
 def _write_rows(path: Path, columns: Sequence[str], rows: list[dict], fmt: str) -> Path:
     if fmt == "csv":
-        with open(path.with_suffix(".csv"), "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(columns)
-            for row in rows:
-                w.writerow([
-                    fmt_float(row[c]) if isinstance(row[c], float) else
-                    ("" if row[c] is None else row[c])
-                    for c in columns
-                ])
+        _write_csv(path.with_suffix(".csv"), columns, ([
+            fmt_float(row[c]) if isinstance(row[c], float) else
+            ("" if row[c] is None else row[c])
+            for c in columns
+        ] for row in rows))
         return path.with_suffix(".csv")
     if fmt == "json":
         payload = [{c: _json_value(row[c]) for c in columns} for row in rows]

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 from leadindex.cli import main
+from leadindex.fileio import write_journals, write_publications
+from leadindex.model import JournalYearIF, PublicationRecord
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +182,28 @@ class TestScore:
         assert code == 0
         data = json.loads((tmp_path / "scorecards.json").read_text())
         assert len(data) == 30
+
+    @pytest.mark.parametrize("papers", [1, 2])
+    def test_non_finite_metrics_are_1_naming_the_investigator(
+            self, dataset_dir, tmp_path, capsys, papers):
+        """One paper at IF 1e308 weighs inf; two overflow the output sum itself."""
+        root = tmp_path / "data"
+        root.mkdir()
+        for name in ("profiles.csv", "table.csv"):
+            shutil.copy(dataset_dir / name, root / name)
+        write_publications(root / "publications.csv", [
+            *(PublicationRecord(f"p{i}", "P0002", 2010, "JBIG", 2, 1) for i in range(papers)),
+            PublicationRecord("q1", "P0003", 2010, "JA", 1, 1),
+        ])
+        write_journals(root / "journals.csv",
+                       [JournalYearIF("JBIG", 2010, 1e308), JournalYearIF("JA", 2010, 2.0)])
+        for command in ("score", "report-trend"):
+            out = tmp_path / command
+            assert main(command_args(command, root, out)) == 1
+            err = capsys.readouterr().err
+            assert "error: investigator P0002: non-finite metric in " in err
+            assert "Traceback" not in err
+            assert not out.exists() or not any(out.iterdir())
 
 
 class TestConfigFile:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from leadindex.errors import FileFormatError
 from leadindex.fileio import (
+    _write_csv,
     read_grants,
     read_journals,
     read_profiles,
@@ -100,11 +101,14 @@ class TestRoundTrips:
         assert read_toughness_corpus(path) == rows
 
     def test_awkward_journal_names_survive_quoting(self, tmp_path):
-        names = ['Has, Comma', 'Has "Quotes"', 'Tab\there', "Mix,\"of'all"]
+        names = ['Has, Comma', 'Has "Quotes"', 'Tab\there', "Mix,\"of'all",
+                 "CR\rin", "CRLF\r\nin", "LF\nin"]
         rows = [JournalYearIF(name, 2010, 1.0) for name in names]
         path = tmp_path / "ifs.csv"
         write_journals(path, rows)
         assert [r.journal for r in read_journals(path)] == names
+        # Quoted on every Python, as 3.13's csv.writer does.
+        assert b'\n"CR\rin",2010,1.0\n"CRLF\r\nin",2010,1.0\n"LF\nin",2010' in path.read_bytes()
 
     def test_empty_file_round_trip(self, tmp_path):
         path = tmp_path / "pubs.csv"
@@ -132,6 +136,13 @@ class TestStrictParsing:
         with pytest.raises(FileFormatError) as exc:
             read_publications(path)
         assert any("line 3" in e or ":3:" in e for e in exc.value.errors)
+
+    def test_multi_line_row_reported_at_its_first_line(self, tmp_path):
+        path = tmp_path / "ifs.csv"
+        path.write_text('journal,year,impact_factor\n"J\nK",20x,1.0\nJ,2010,-1\n')
+        with pytest.raises(FileFormatError) as exc:
+            read_journals(path)
+        assert [e.split(" ", 1)[0] for e in exc.value.errors] == [f"{path}:2:", f"{path}:4:"]
 
     def test_float_with_junk_rejected(self, tmp_path):
         path = tmp_path / "ifs.csv"
@@ -250,10 +261,9 @@ class TestToughnessTableFile:
             read_toughness_table(path)
 
 
-# Text cells: any character but surrogates (not encodable as UTF-8), NUL (which
-# csv.reader refuses before Python 3.11) and carriage return (which csv.writer
-# leaves unquoted, so it does not survive a round trip).
-CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\0")
+# Text cells: any character but surrogates (not encodable as UTF-8) and NUL
+# (which csv.reader refuses before Python 3.11).
+CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\0")
 TEXT = st.text(CHARS, min_size=1, max_size=12)
 YEARS = st.integers(-10**6, 10**6)
 COUNTS = st.integers(0, 10**12)
@@ -358,11 +368,8 @@ class TestEveryFormatFuzzed:
             rows = list(csv.reader(f))
         row = rows[1]
         row[typed[column]] = data.draw(JUNK)
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            f.writelines(marker)
-            csv.writer(f, lineterminator="\n").writerows(rows)
-        # A quoted line break in an earlier cell moves the row's last line down.
-        line = header_lines + 1 + sum(cell.count("\n") for cell in row)
+        _write_csv(path, rows[0], rows[1:], marker="".join(marker).rstrip("\n"))
+        line = header_lines + 1  # where the row starts, whatever breaks its cells hold
         with pytest.raises(FileFormatError) as exc:
             read(path)
         assert len(exc.value.errors) == 1

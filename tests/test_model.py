@@ -1,6 +1,10 @@
+import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leadindex.errors import DataValidationError
 from leadindex.model import (
@@ -14,7 +18,6 @@ from leadindex.model import (
     ScoreCard,
     aggregate_grants,
     apply_funding,
-    resolve_impact_factor,
     validate_dataset,
 )
 
@@ -48,8 +51,9 @@ class TestPublicationRecord:
 
 def test_journal_if_must_be_non_negative():
     JournalYearIF("J", 2010, 0.0)
-    with pytest.raises(ValueError):
-        JournalYearIF("J", 2010, -0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            JournalYearIF("J", 2010, bad)
 
 
 class TestInvestigatorProfile:
@@ -67,13 +71,15 @@ class TestInvestigatorProfile:
         InvestigatorProfile("P1", "CN", 1, total_funding=1000.0, currency="CNY")
 
     def test_negative_funding_rejected(self):
-        with pytest.raises(ValueError):
-            InvestigatorProfile("P1", "CN", 1, total_funding=-5.0, currency="CNY")
+        for bad in (-5.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                InvestigatorProfile("P1", "CN", 1, total_funding=bad, currency="CNY")
 
 
 def test_grant_amount_must_be_non_negative():
-    with pytest.raises(ValueError):
-        GrantRecord("P1", 2010, -1.0, "CNY")
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            GrantRecord("P1", 2010, bad, "CNY")
 
 
 class TestScoreCard:
@@ -88,6 +94,14 @@ class TestScoreCard:
     def test_scored_requires_all_metrics(self):
         with pytest.raises(ValueError):
             ScoreCard("P1", (2010, 2012), 2, 5.0, 9.0, None, 6.0, 7.3)
+
+    @pytest.mark.parametrize("field", range(6))  # the five metrics, then l_fund
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_metric_rejected(self, field, bad):
+        metrics = [5.0, 9.0, 1.5, 6.0, 7.3, 0.01]
+        metrics[field] = bad
+        with pytest.raises(ValueError, match="investigator P1: non-finite metric in 2010-2012"):
+            ScoreCard("P1", (2010, 2012), 2, *metrics)
 
 
 class TestValidateDataset:
@@ -175,10 +189,61 @@ class TestIFFallback:
             )
 
     def test_exact_match_wins_over_fallback(self):
-        index = {("JA", 2009): 2.0, ("JA", 2011): 3.0}
-        assert resolve_impact_factor(index, "JA", 2011, IFFallback.NEAREST_PRIOR_YEAR) == 3.0
-        assert resolve_impact_factor(index, "JA", 2010, IFFallback.NEAREST_PRIOR_YEAR) == 2.0
-        assert resolve_impact_factor(index, "JB", 2011, IFFallback.NEAREST_PRIOR_YEAR) is None
+        pubs = [
+            PublicationRecord("p1", "P1", 2011, "JA", 1, 1),
+            PublicationRecord("p2", "P1", 2010, "JA", 1, 1),
+        ]
+        profiles = [InvestigatorProfile("P1", "CN", 1)]
+        dataset = validate_dataset(pubs, self.journals, profiles,
+                                   fallback=IFFallback.NEAREST_PRIOR_YEAR)
+        assert dataset.resolved_if == {"p1": 3.0, "p2": 2.0}
+        with pytest.raises(DataValidationError) as err:
+            validate_dataset([PublicationRecord("p3", "P1", 2011, "JB", 1, 1)],
+                             self.journals, profiles, fallback=IFFallback.NEAREST_PRIOR_YEAR)
+        assert err.value.errors == ["paper p3: no impact factor for JB 2011"]
+
+    def test_all_miss_fallback_is_linear(self):
+        """40k IF rows on even years, 50k papers on odd years: every paper misses."""
+        journals = [JournalYearIF(f"J{j}", year, j + year / 10000)
+                    for j in range(2000) for year in range(1980, 2020, 2)]
+        pubs = [PublicationRecord(f"p{i}", "P1", 1981 + 2 * (i % 19), f"J{i % 2000}", 1, 1)
+                for i in range(50000)]
+        t0 = time.perf_counter()
+        dataset = validate_dataset(pubs, journals, [InvestigatorProfile("P1", "CN", 1)],
+                                   fallback=IFFallback.NEAREST_PRIOR_YEAR)
+        assert time.perf_counter() - t0 < 5.0
+        assert len(dataset.resolved_if) == 50000
+        for rec in pubs[:100]:
+            assert dataset.resolved_if[rec.paper_id] == int(rec.journal[1:]) + (rec.year - 1) / 10000
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.dictionaries(
+            st.tuples(st.sampled_from("ABC"), st.integers(2000, 2010)),
+            st.floats(0, 100), max_size=20),
+        papers=st.lists(
+            st.tuples(st.sampled_from("ABCD"), st.integers(1998, 2012)), max_size=20),
+        fallback=st.sampled_from(list(IFFallback)),
+    )
+    def test_matches_brute_force_lookup(self, entries, papers, fallback):
+        """Each paper gets its journal's entry of the latest year not after its own."""
+        journals = [JournalYearIF(j, y, v) for (j, y), v in entries.items()]
+        pubs = [PublicationRecord(f"p{i}", "P1", y, j, 1, 1) for i, (j, y) in enumerate(papers)]
+        expected, missing = {}, []
+        for rec in pubs:
+            years = [y for (j, y) in entries if j == rec.journal and y <= rec.year]
+            if years and (fallback is IFFallback.NEAREST_PRIOR_YEAR or rec.year in years):
+                expected[rec.paper_id] = entries[(rec.journal, max(years))]
+            else:
+                missing.append(f"paper {rec.paper_id}: no impact factor for "
+                               f"{rec.journal} {rec.year}")
+        profiles = [InvestigatorProfile("P1", "CN", 1)]
+        if missing:
+            with pytest.raises(DataValidationError) as err:
+                validate_dataset(pubs, journals, profiles, fallback)
+            assert err.value.errors == sorted(missing)
+        else:
+            assert validate_dataset(pubs, journals, profiles, fallback).resolved_if == expected
 
 
 class TestGrants:
@@ -191,6 +256,12 @@ class TestGrants:
         grants = [GrantRecord("P1", 2010, 5.0, "CNY"), GrantRecord("P1", 2011, 5.0, "USD")]
         with pytest.raises(DataValidationError, match="multiple currencies"):
             aggregate_grants(grants)
+
+    def test_overflowing_total_rejected(self):
+        grants = [GrantRecord("P1", 2010, 1e308, "CNY"), GrantRecord("P1", 2011, 1e308, "CNY")]
+        with pytest.raises(DataValidationError) as err:
+            aggregate_grants(grants)
+        assert err.value.errors == ["pi_id P1: grant total overflows the float range"]
 
     def test_apply_funding_overrides_profile(self):
         profiles = [
