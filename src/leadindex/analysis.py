@@ -1,8 +1,8 @@
 """Cohort statistics, time-binned series, annual trends and correlations.
 
-Everything here aggregates immutable scorecards, so the functions are pure
-and safe to run in parallel. Output ordering is by group key / bin center /
-year, never by input order.
+Everything here aggregates immutable scorecards or valued papers, so the
+functions are pure. Output ordering is by group key / bin center / year,
+never by input order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .credit import CreditScenario
 from .errors import DataValidationError
-from .metrics import ScoredPaper, _card, _scored_paper
+from .metrics import _metrics, _valued
 from .model import ScoreCard, ValidatedDataset
 from .stats import mean_sd, pearson, significance_mark, welch_t_test
 from .toughness import ToughnessTable
@@ -287,34 +287,22 @@ def trend(
         and (tier is None or dataset.profiles[pid].tier == tier)
     ]
 
-    # One pass over each investigator's records values every paper once;
-    # each (investigator, year) keeps only its card.
-    by_year: dict[int, list[ScoreCard]] = {year: [] for year in range(start, end + 1)}
+    # One pass over each investigator's papers values each once; every
+    # (investigator, year) keeps only its (O', O, T, E, L) tuple.
+    by_year: dict[int, list[tuple]] = {year: [] for year in range(start, end + 1)}
     for pid in pi_ids:
-        papers: dict[int, list[ScoredPaper]] = {}
-        for rec in dataset.corresponding_papers(pid, span):
-            papers.setdefault(rec.year, []).append(_scored_paper(dataset, rec, table, scenario))
+        papers: dict[int, list[tuple]] = {}
+        for paper in _valued(dataset, pid, span, table, scenario):
+            papers.setdefault(paper[0], []).append(paper)
         for year, group in papers.items():
-            by_year[year].append(_card(dataset, pid, (year, year), group))
+            by_year[year].append(_metrics(pid, (year, year), group))
 
     points = []
-    for year, scored in by_year.items():
-        if scored:
-            points.append(
-                TrendPoint(
-                    year=year,
-                    n=len(scored),
-                    leadership=math.fsum(c.leadership for c in scored) / len(scored),
-                    o_weighted=math.fsum(c.o_weighted for c in scored) / len(scored),
-                    efficiency=math.fsum(c.efficiency for c in scored) / len(scored),
-                    t_equiv=math.fsum(c.t_equiv for c in scored) / len(scored),
-                )
-            )
-        else:
-            points.append(
-                TrendPoint(year=year, n=0, leadership=None, o_weighted=None,
-                           efficiency=None, t_equiv=None)
-            )
+    for year, rows in by_year.items():
+        means = [math.fsum(column) / len(rows) for column in zip(*rows)] or [None] * 5
+        _, o, t, e, lead = means
+        points.append(TrendPoint(year=year, n=len(rows), leadership=lead,
+                                 o_weighted=o, efficiency=e, t_equiv=t))
     return TrendSeries(span=span, points=tuple(points))
 
 

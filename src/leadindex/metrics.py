@@ -13,21 +13,24 @@ formulations survive large corpora.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .credit import CreditScenario, scenario_share
+from .credit import CreditScenario, a_index
 from .errors import UndefinedMetricError
-from .model import PublicationRecord, ScoreCard, ValidatedDataset
+from .model import ScoreCard, ValidatedDataset
 from .toughness import ToughnessTable, weighted_if
 
 
 @dataclass(frozen=True)
 class ScoredPaper:
-    """One paper as it enters an investigator's metrics.
+    """One paper as it enters an investigator's metrics: the library type.
 
     ``value_raw`` is the journal impact factor, ``value`` its
     toughness-weighted counterpart, ``a`` the investigator's credit share.
+    The functions below take these; the scoring pipeline itself values
+    papers as plain ``(year, value_raw, value, a)`` tuples.
     """
 
     paper_id: str
@@ -88,10 +91,17 @@ def efficiency(o: float, t: float) -> float:
 
 
 def leadership(o: float, e: float) -> float:
-    """Leadership L: geometric mean of output and efficiency."""
+    """Leadership L: geometric mean of output and efficiency.
+
+    sqrt(O*E) while the product is a normal float; sqrt(O) * sqrt(E) once
+    it leaves that range, so L stays finite wherever it is representable.
+    """
     if o < 0 or e < 0:
         raise ValueError("output and efficiency must be >= 0")
-    return math.sqrt(o * e)
+    product = o * e
+    if sys.float_info.min <= product <= sys.float_info.max:
+        return math.sqrt(product)
+    return math.sqrt(o) * math.sqrt(e)
 
 
 def leadership_from_funding(o: float, funding: float) -> float:
@@ -105,68 +115,64 @@ def leadership_from_funding(o: float, funding: float) -> float:
     return o / math.sqrt(funding)
 
 
-def _scored_paper(
+def _valued(
     dataset: ValidatedDataset,
-    rec: PublicationRecord,
+    pi_id: str,
+    period: tuple[int, int],
     table: ToughnessTable,
     scenario: CreditScenario,
-) -> ScoredPaper:
-    """One corresponding-author record, valued and credited."""
-    raw = dataset.resolved_if[rec.paper_id]
-    return ScoredPaper(
-        paper_id=rec.paper_id,
-        value_raw=raw,
-        value=weighted_if(table, raw),
-        a=scenario_share(rec.author_count, rec.credit_position, rec.tie_span, scenario),
-    )
+) -> list[tuple[int, float, float, float]]:
+    """(year, IF, weighted IF, credit share) of each corresponding paper in the period."""
+    tied = scenario is CreditScenario.TIED
+    valued = []
+    for rec in dataset.corresponding_papers(pi_id, period):
+        raw = dataset.resolved_if[rec.paper_id]
+        share = a_index(rec.author_count, rec.credit_position, rec.tie_span if tied else 1)
+        valued.append((rec.year, raw, weighted_if(table, raw), share))
+    return valued
+
+
+def _metrics(
+    pi_id: str,
+    period: tuple[int, int],
+    papers: list[tuple[int, float, float, float]],
+) -> tuple[float, float, float, float, float]:
+    """(O', O, T, E, L) of non-empty valued papers, in ScoreCard's field order.
+
+    L = O/sqrt(T). Raises an error naming the investigator and period when
+    every paper is worth 0 (T undefined) or a metric leaves the float range.
+    """
+    start, end = period
+    try:
+        o_prime = math.fsum(p[1] for p in papers)
+        o = math.fsum(p[2] for p in papers)
+        if o == 0:
+            raise UndefinedMetricError(
+                f"investigator {pi_id}: equivalent time undefined in {start}-{end}: "
+                "no paper with positive value"
+            )
+        t = math.fsum(p[2] / p[3] for p in papers) / o
+        metrics = (o_prime, o, t, o / t, o / math.sqrt(t))
+    except OverflowError:  # fsum of finite values beyond the float range
+        metrics = (math.inf,)
+    if not all(map(math.isfinite, metrics)):
+        raise ValueError(f"investigator {pi_id}: non-finite metric in {start}-{end}")
+    return metrics
 
 
 def _card(
     dataset: ValidatedDataset,
     pi_id: str,
     period: tuple[int, int],
-    papers: list[ScoredPaper],
+    papers: list[tuple[int, float, float, float]],
 ) -> ScoreCard:
-    """The card of one investigator's papers in a period; unscored when empty."""
-    if not papers:
-        return ScoreCard(
-            pi_id=pi_id,
-            period=period,
-            paper_count=0,
-            o_raw=None,
-            o_weighted=None,
-            t_equiv=None,
-            efficiency=None,
-            leadership=None,
-        )
-
-    try:
-        o_prime = output_raw(papers)
-        o = output_weighted(papers)
-        t = equivalent_time(papers)
-    except OverflowError:  # fsum of finite values beyond the float range
-        raise ValueError(
-            f"investigator {pi_id}: non-finite metric in {period[0]}-{period[1]}"
-        ) from None
-    e = efficiency(o, t)
-    lead = leadership(o, e)
-
-    profile = dataset.profiles[pi_id]
+    """The card of one investigator's valued papers in a period; unscored when empty."""
+    metrics = _metrics(pi_id, period, papers) if papers else (None,) * 5
+    funding = dataset.profiles[pi_id].total_funding
     l_fund: Optional[float] = None
-    if profile.total_funding is not None and profile.total_funding > 0:
-        l_fund = leadership_from_funding(o, profile.total_funding)
-
-    return ScoreCard(
-        pi_id=pi_id,
-        period=period,
-        paper_count=len(papers),
-        o_raw=o_prime,
-        o_weighted=o,
-        t_equiv=t,
-        efficiency=e,
-        leadership=lead,
-        l_fund=l_fund,
-    )
+    if papers and funding is not None and funding > 0:
+        l_fund = leadership_from_funding(metrics[1], funding)
+    return ScoreCard(pi_id, period, len(papers), *metrics, l_fund=l_fund)
 
 
 def score_investigator(
@@ -186,11 +192,7 @@ def score_investigator(
     start, end = period
     if start > end:
         raise ValueError(f"period start {start} after end {end}")
-    papers = [
-        _scored_paper(dataset, rec, table, scenario)
-        for rec in dataset.corresponding_papers(pi_id, period)
-    ]
-    return _card(dataset, pi_id, period, papers)
+    return _card(dataset, pi_id, period, _valued(dataset, pi_id, period, table, scenario))
 
 
 def score_all(

@@ -26,8 +26,27 @@ def mean_sd(values: list[float]) -> tuple[float, float]:
         # an ulp and would leak a spurious nonzero deviation.
         return float(first), 0.0
     mean = math.fsum(values) / n
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var)
+    scale, unit = _unit_deviations(values, mean)
+    return mean, scale * math.sqrt(math.fsum(u * u for u in unit) / (n - 1))
+
+
+def _unit_deviations(values: list[float], center: float) -> tuple[float, list[float]]:
+    """(scale, unit) with values - center == scale * unit and max |unit| in [1, 2).
+
+    scale is a power of two, so the division is exact and squares of the
+    units round as squares of the deviations would, but the largest can
+    neither overflow nor underflow. A spread beyond the float range is
+    taken on halves. All-zero deviations give scale 0.
+    """
+    deviations = [v - center for v in values]
+    halved = math.isinf(max(map(abs, deviations)))
+    if halved:
+        deviations = [v / 2 - center / 2 for v in values]
+    largest = max(map(abs, deviations))
+    if largest == 0.0:
+        return 0.0, deviations
+    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+    return scale * (2 if halved else 1), [d / scale for d in deviations]
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -113,9 +132,12 @@ def welch_t_test(a: list[float], b: list[float]) -> tuple[float, float, float]:
         raise ValueError("welch_t_test requires at least two values per sample")
     mean_a, sd_a = mean_sd(a)
     mean_b, sd_b = mean_sd(b)
-    va_n = sd_a * sd_a / na
-    vb_n = sd_b * sd_b / nb
-    if va_n + vb_n == 0.0:
+    # Variances in units of the larger SD, so squaring neither overflows
+    # nor underflows.
+    scale, (ua, ub) = _unit_deviations([sd_a, sd_b], 0.0)
+    va_n = ua * ua / na
+    vb_n = ub * ub / nb
+    if scale == 0.0:
         df = float(na + nb - 2)
         if mean_a == mean_b:
             return 0.0, df, 1.0
@@ -125,27 +147,13 @@ def welch_t_test(a: list[float], b: list[float]) -> tuple[float, float, float]:
             stacklevel=2,
         )
         return math.copysign(math.inf, mean_a - mean_b), df, 0.0
-    t = (mean_a - mean_b) / math.sqrt(va_n + vb_n)
+    t = (mean_a - mean_b) / scale / math.sqrt(va_n + vb_n)
     # Welch-Satterthwaite, with the variance shares normalized first so
     # squaring subnormal variances cannot underflow the denominator.
     share_a = va_n / (va_n + vb_n)
     share_b = vb_n / (va_n + vb_n)
     df = 1.0 / (share_a**2 / (na - 1) + share_b**2 / (nb - 1))
     return t, df, t_two_sided_p(t, df)
-
-
-def _unit_deviations(values: list[float]) -> list[float]:
-    """values - values[0], divided by the largest absolute deviation."""
-    first = values[0]
-    deviations = [v - first for v in values]
-    scale = max(abs(d) for d in deviations)
-    if math.isinf(scale):
-        # The spread itself overflows the float range; work on halves.
-        deviations = [v / 2 - first / 2 for v in values]
-        scale = max(abs(d) for d in deviations)
-    if scale == 0.0:
-        raise ValueError("pearson is undefined for a zero-variance input")
-    return [d / scale for d in deviations]
 
 
 def pearson(x: list[float], y: list[float]) -> tuple[float, float]:
@@ -159,12 +167,13 @@ def pearson(x: list[float], y: list[float]) -> tuple[float, float]:
         raise ValueError(f"length mismatch: {n} vs {len(y)}")
     if n < 3:
         raise ValueError("pearson requires at least three paired values")
-    # Shift by the first value and scale by the largest deviation before
-    # taking means: the deviations then lie in [-1, 1], so tiny spreads
-    # around a large offset keep their precision and squares cannot
-    # underflow.
-    dx = _unit_deviations(x)
-    dy = _unit_deviations(y)
+    # Shift by the first value and scale before taking means: tiny spreads
+    # around a large offset keep their precision and squares can neither
+    # overflow nor underflow.
+    x_scale, dx = _unit_deviations(x, x[0])
+    y_scale, dy = _unit_deviations(y, y[0])
+    if x_scale == 0.0 or y_scale == 0.0:
+        raise ValueError("pearson is undefined for a zero-variance input")
     mx = math.fsum(dx) / n
     my = math.fsum(dy) / n
     sxy = math.fsum((xi - mx) * (yi - my) for xi, yi in zip(dx, dy))

@@ -1,16 +1,24 @@
 """End-to-end command-line behavior: exit codes, config files, outputs."""
 
+import contextlib
 import csv
+import io
 import json
+import math
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leadindex.cli import main
-from leadindex.fileio import write_journals, write_publications
-from leadindex.model import JournalYearIF, PublicationRecord
+from leadindex.fileio import write_journals, write_profiles, write_publications
+from leadindex.model import InvestigatorProfile, JournalYearIF, PublicationRecord
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +50,22 @@ def command_args(command, root, out):
         return [*args, "--span", "2008:2013"]
     args += ["--period", "2008:2013"]
     return [*args, "--grouping", "class"] if command == "report-cohort" else args
+
+
+def write_inputs(root, dataset_dir, publications, journals, profiles=None):
+    """A dataset under ``root`` with the given rows and the shared table.
+
+    Without ``profiles`` the synthetic dataset's profiles are reused.
+    """
+    root.mkdir(parents=True, exist_ok=True)
+    shutil.copy(dataset_dir / "table.csv", root / "table.csv")
+    if profiles is None:
+        shutil.copy(dataset_dir / "profiles.csv", root / "profiles.csv")
+    else:
+        write_profiles(root / "profiles.csv", profiles)
+    write_publications(root / "publications.csv", publications)
+    write_journals(root / "journals.csv", journals)
+    return root
 
 
 class TestExitCodes:
@@ -187,21 +211,40 @@ class TestScore:
     def test_non_finite_metrics_are_1_naming_the_investigator(
             self, dataset_dir, tmp_path, capsys, papers):
         """One paper at IF 1e308 weighs inf; two overflow the output sum itself."""
-        root = tmp_path / "data"
-        root.mkdir()
-        for name in ("profiles.csv", "table.csv"):
-            shutil.copy(dataset_dir / name, root / name)
-        write_publications(root / "publications.csv", [
+        root = write_inputs(tmp_path / "data", dataset_dir, [
             *(PublicationRecord(f"p{i}", "P0002", 2010, "JBIG", 2, 1) for i in range(papers)),
             PublicationRecord("q1", "P0003", 2010, "JA", 1, 1),
-        ])
-        write_journals(root / "journals.csv",
-                       [JournalYearIF("JBIG", 2010, 1e308), JournalYearIF("JA", 2010, 2.0)])
+        ], [JournalYearIF("JBIG", 2010, 1e308), JournalYearIF("JA", 2010, 2.0)])
         for command in ("score", "report-trend"):
             out = tmp_path / command
             assert main(command_args(command, root, out)) == 1
             err = capsys.readouterr().err
             assert "error: investigator P0002: non-finite metric in " in err
+            assert "Traceback" not in err
+            assert not out.exists() or not any(out.iterdir())
+
+    def test_leadership_finite_where_o_times_e_is_not(self, dataset_dir, tmp_path):
+        """A sole author at IF 1e300: O*E passes the float range, L = O does not."""
+        root = write_inputs(tmp_path / "data", dataset_dir,
+                            [PublicationRecord("p1", "P0002", 2010, "JBIG", 1, 1)],
+                            [JournalYearIF("JBIG", 2010, 1e300)])
+        assert main(command_args("score", root, tmp_path / "out")) == 0
+        rows = list(csv.DictReader((tmp_path / "out" / "scorecards.csv").open()))
+        card = next(r for r in rows if r["pi_id"] == "P0002")
+        assert card["t_equiv"] == "1"
+        assert card["leadership"] == card["o_weighted"] != ""
+
+    def test_all_zero_impact_is_1_naming_the_investigator(self, dataset_dir, tmp_path, capsys):
+        root = write_inputs(tmp_path / "data", dataset_dir, [
+            PublicationRecord("p1", "P0002", 2010, "JZERO", 3, 1),
+            PublicationRecord("q1", "P0003", 2010, "JA", 1, 1),
+        ], [JournalYearIF("JZERO", 2010, 0.0), JournalYearIF("JA", 2010, 2.0)])
+        for command, period in (("score", "2008-2013"), ("report-trend", "2010-2010")):
+            out = tmp_path / command
+            assert main(command_args(command, root, out)) == 1
+            err = capsys.readouterr().err
+            assert (f"error: investigator P0002: equivalent time undefined in {period}: "
+                    "no paper with positive value") in err
             assert "Traceback" not in err
             assert not out.exists() or not any(out.iterdir())
 
@@ -324,12 +367,99 @@ class TestReports:
         assert rows[0]["group"] == "overall"
         assert (tmp_path / "funding_scatter.tsv").exists()
 
+    def test_cohort_of_squares_beyond_float_range(self, dataset_dir, tmp_path):
+        """Class 1: one last-of-100 author at IF 1e155 and one ordinary investigator."""
+        root = write_inputs(tmp_path / "data", dataset_dir, [
+            PublicationRecord("p1", "P1", 2010, "JBIG", 100, 100),
+            PublicationRecord("p2", "P2", 2010, "JA", 2, 1),
+            PublicationRecord("p3", "P3", 2010, "JA", 1, 1),
+            PublicationRecord("p4", "P4", 2010, "JA", 3, 1),
+        ], [JournalYearIF("JBIG", 2010, 1e155), JournalYearIF("JA", 2010, 2.0)],
+            [InvestigatorProfile("P1", "CN", 1), InvestigatorProfile("P2", "CN", 1),
+             InvestigatorProfile("P3", "CN", 2), InvestigatorProfile("P4", "CN", 2)])
+        out = tmp_path / "out"
+        assert main([*command_args("report-cohort", root, out), "--reference-group", "2"]) == 0
+        rows = list(csv.DictReader((out / "cohort_class.csv").open()))
+        assert {r["group"] for r in rows} == {"1", "2"}
+        for row in rows:
+            assert all(math.isfinite(float(row[c])) for c in ("mean", "sd") if row[c])
+        lead = next(r for r in rows if r["group"] == "1" and r["metric"] == "leadership")
+        assert float(lead["p"]) <= 1.0
+
     def test_correlate_mixed_currencies_is_1(self, dataset_dir, tmp_path):
         code = main(["correlate", *dataset_flags(dataset_dir),
                      "--grants", str(dataset_dir / "grants.csv"),
                      "--table", str(dataset_dir / "table.csv"),
                      "--period", "2008:2013", "--out-dir", str(tmp_path)])
         assert code == 1  # CN and US funding cannot be pooled
+
+
+REPORT_COMMANDS = ("score", "report-cohort", "report-bins", "report-trend", "correlate")
+NON_FINITE = re.compile(r"\b(inf|nan|infinity)\b", re.IGNORECASE)
+
+impact_factors = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=50.0),
+    st.floats(min_value=1e150, max_value=1e300),
+)
+
+
+@st.composite
+def small_datasets(draw):
+    """Profiles over three classes and papers of up to 100 authors, IF 0 to 1e300."""
+    pis = [f"P{k}" for k in range(draw(st.integers(min_value=1, max_value=5)))]
+    profiles = [
+        InvestigatorProfile(
+            pid, "CN", draw(st.integers(min_value=1, max_value=3)),
+            total_funding=draw(st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1e12))),
+            currency="CNY")
+        for pid in pis
+    ]
+    journals = [JournalYearIF(f"J{j}", year, draw(impact_factors))
+                for j in range(3) for year in (2010, 2011, 2012)]
+    papers = []
+    for k in range(draw(st.integers(min_value=0, max_value=12))):
+        n = draw(st.integers(min_value=1, max_value=100))
+        i = draw(st.integers(min_value=1, max_value=n))
+        papers.append(PublicationRecord(
+            f"p{k}", draw(st.sampled_from(pis)), draw(st.integers(min_value=2010, max_value=2012)),
+            f"J{draw(st.integers(min_value=0, max_value=2))}", n, i,
+            tie_span=draw(st.integers(min_value=1, max_value=n - i + 1)),
+            is_corresponding=draw(st.booleans())))
+    return papers, journals, profiles
+
+
+class TestAnyAcceptedDataset:
+    """Every run ends with finite reports or an error naming an investigator,
+    never a traceback."""
+
+    @given(small_datasets(), st.sampled_from(["ranked", "tied"]))
+    @settings(max_examples=25, deadline=None)
+    def test_finite_or_refused(self, dataset_dir, drawn, scenario):
+        papers, journals, profiles = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            root = write_inputs(Path(tmp) / "data", dataset_dir, papers, journals, profiles)
+            for command in REPORT_COMMANDS:
+                out = Path(tmp) / command
+                args = [*command_args(command, root, out), "--scenario", scenario,
+                        "--format", "json"]
+                if command == "report-cohort":
+                    args += ["--reference-group", "1"]
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    code = main(args)
+                if code == 1:
+                    assert re.search(r"^error: investigator P\d+: ", stderr.getvalue(), re.M)
+                    continue
+                assert code == 0
+                for path in out.iterdir():
+                    assert not NON_FINITE.search(path.read_text()), path.name
+                if command == "score":
+                    for card in json.loads((out / "scorecards.json").read_text()):
+                        if card["paper_count"]:
+                            assert card["t_equiv"] >= 1.0
+                            assert card["leadership"] == pytest.approx(
+                                card["o_weighted"] / math.sqrt(card["t_equiv"]), rel=2e-5)
 
 
 class TestConsoleScript:

@@ -16,6 +16,7 @@ from leadindex.credit import CreditScenario, a_index
 from leadindex.errors import UndefinedMetricError
 from leadindex.metrics import (
     ScoredPaper,
+    _metrics,
     efficiency,
     equivalent_time,
     leadership,
@@ -26,6 +27,7 @@ from leadindex.metrics import (
     score_investigator,
     team_output,
 )
+from leadindex.model import InvestigatorProfile, JournalYearIF, validate_dataset
 
 
 def paper(value, a, raw=None, pid="x"):
@@ -134,6 +136,10 @@ class TestEfficiencyAndLeadership:
         assert leadership(10.0, 5.0) == math.sqrt(50.0)
         assert leadership(0.0, 17.0) == 0.0
 
+    def test_finite_where_the_product_leaves_the_float_range(self):
+        assert leadership(1e300, 1e300) == pytest.approx(1e300, rel=1e-15)
+        assert leadership(1e-200, 1e-200) == pytest.approx(1e-200, rel=1e-15)
+
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             leadership(-1.0, 1.0)
@@ -162,6 +168,42 @@ class TestEfficiencyAndLeadership:
         closed_form = o**1.5 / math.sqrt(math.fsum(p.value / p.a for p in papers))
         assert via_time == pytest.approx(via_efficiency, rel=1e-9)
         assert closed_form == pytest.approx(via_efficiency, rel=1e-9)
+
+
+valued_papers = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e300)),
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=1, max_value=100).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n))),
+    ),
+    min_size=1, max_size=30,
+).filter(lambda papers: any(raw > 0 for raw, _, _ in papers))
+
+
+class TestKernel:
+    """The pipeline's tuple kernel against the public functions."""
+
+    @given(valued_papers)
+    @settings(max_examples=100)
+    def test_matches_public_functions(self, drawn):
+        tuples = [(2010, raw, weight * raw, a_index(n, i)) for raw, weight, (n, i) in drawn]
+        papers = [ScoredPaper(f"p{k}", raw, value, a)
+                  for k, (_, raw, value, a) in enumerate(tuples)]
+        o_prime, o, t, e, lead = _metrics("P1", (2010, 2010), tuples)
+        assert o_prime == output_raw(papers)
+        assert o == output_weighted(papers)
+        assert t == equivalent_time(papers)
+        assert t >= 1.0
+        assert e == efficiency(o, t)
+        assert lead == pytest.approx(leadership(o, e), rel=1e-14)
+        assert lead == o / math.sqrt(t)
+
+    def test_zero_value_names_investigator_and_period(self):
+        with pytest.raises(UndefinedMetricError,
+                           match=r"^investigator P7: equivalent time undefined in 2010-2012: "
+                                 r"no paper with positive value$"):
+            _metrics("P7", (2010, 2012), [(2010, 0.0, 0.0, 0.5), (2011, 0.0, 0.0, 1.0)])
 
 
 class TestScoreInvestigator:
@@ -199,6 +241,17 @@ class TestScoreInvestigator:
 
     def test_unfunded_profile_has_no_l_fund(self, small_dataset, two_level_table):
         card = score_investigator(small_dataset, "P2", (2010, 2011), two_level_table)
+        assert card.scored
+        assert card.l_fund is None
+
+    def test_zero_funding_has_no_l_fund(self, small_dataset, two_level_table):
+        profiles = dict(small_dataset.profiles)
+        profiles["P2"] = InvestigatorProfile("P2", "CN", 2, total_funding=0.0, currency="CNY")
+        dataset = validate_dataset(small_dataset.publications, [
+            JournalYearIF("JA", 2010, 4.0), JournalYearIF("JA", 2011, 4.5),
+            JournalYearIF("JB", 2010, 1.0), JournalYearIF("JB", 2011, 1.25),
+        ], profiles.values())
+        card = score_investigator(dataset, "P2", (2010, 2011), two_level_table)
         assert card.scored
         assert card.l_fund is None
 

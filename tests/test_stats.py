@@ -56,6 +56,11 @@ class TestMeanSd:
         with pytest.raises(ValueError):
             mean_sd([])
 
+    def test_squares_beyond_float_range(self):
+        mean, sd = mean_sd([1e200, 3e200])
+        assert mean == 2e200
+        assert sd == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=200))
     @settings(max_examples=60)
     def test_matches_exact_rational_reference(self, values):
@@ -94,6 +99,14 @@ class TestWelch:
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError):
             welch_t_test([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("factor", [1e200, 1e-200])
+    def test_scale_free(self, factor):
+        a, b = [1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        t, df, p = welch_t_test([v * factor for v in a], [v * factor for v in b])
+        assert t == pytest.approx(WELCH_T, rel=1e-12)
+        assert df == pytest.approx(WELCH_DF, rel=1e-12)
+        assert p == pytest.approx(WELCH_P, abs=1e-6)
 
     @given(
         st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=30),
