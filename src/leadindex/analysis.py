@@ -16,7 +16,7 @@ from .credit import CreditScenario
 from .errors import DataValidationError
 from .metrics import _metrics, _valued
 from .model import ScoreCard, ValidatedDataset
-from .stats import mean_sd, pearson, significance_mark, welch_t_test
+from .stats import mean, mean_sd, pearson, significance_mark, welch_t_test
 from .toughness import ToughnessTable
 
 # Metric keys of a scorecard as they appear in cohort reports, in report
@@ -193,7 +193,7 @@ def cohort_report(
         metrics: dict[str, MetricSummary] = {}
         for metric in COHORT_METRICS:
             values = [_card_value(c, metric) for c in cards]
-            mean, sd = mean_sd(values)
+            center, sd = mean_sd(values)
             p = None
             mark = ""
             if (
@@ -205,7 +205,7 @@ def cohort_report(
                 ref_values = [_card_value(c, metric) for c in reference]
                 _, _, p = welch_t_test(values, ref_values)
                 mark = significance_mark(p)
-            metrics[metric] = MetricSummary(mean=mean, sd=sd, p=p, mark=mark)
+            metrics[metric] = MetricSummary(mean=center, sd=sd, p=p, mark=mark)
         summaries.append(CohortSummary(group=label, n=len(cards), metrics=metrics))
 
     return CohortReport(
@@ -255,7 +255,7 @@ def bin_by_time(
         series.append(
             TimeBin(
                 center=index * step,
-                mean_leadership=math.fsum(values) / len(values),
+                mean_leadership=mean(values),
                 count=len(values),
             )
         )
@@ -299,7 +299,7 @@ def trend(
 
     points = []
     for year, rows in by_year.items():
-        means = [math.fsum(column) / len(rows) for column in zip(*rows)] or [None] * 5
+        means = [mean(column) for column in zip(*rows)] or [None] * 5
         _, o, t, e, lead = means
         points.append(TrendPoint(year=year, n=len(rows), leadership=lead,
                                  o_weighted=o, efficiency=e, t_equiv=t))

@@ -298,7 +298,8 @@ def read_toughness_table(path: Pathish) -> ToughnessTable:
         rows = _parse_rows(path, f, _TABLE, _tuple, header_line=2)
 
     weights = [weight for weight, _ in rows]
-    if weights != list(range(levels, 0, -1)):
+    # The row count first: the marker's levels= is not bounded by the file.
+    if len(rows) != levels or weights != list(range(levels, 0, -1)):
         raise FileFormatError(
             [f"{path}: weights must run {levels}..1, got {weights}"]
         )

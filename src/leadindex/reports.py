@@ -42,30 +42,33 @@ def fmt_float(value: Optional[float]) -> str:
     return f"{value:.6g}"
 
 
-def _json_value(value):
-    if isinstance(value, float):
-        return float(f"{value:.6g}")
-    return value
+def _target(out_dir: Pathish, name: str) -> Path:
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return Path(out_dir) / name
 
 
-def _write_rows(path: Path, columns: Sequence[str], rows: list[dict], fmt: str) -> Path:
+def _write_rows(out_dir: Pathish, name: str, columns: Sequence[str],
+                rows: list[tuple], fmt: str) -> Path:
+    """Write tuples in ``columns`` order as name.csv or as name.json objects."""
     if fmt == "csv":
-        _write_csv(path.with_suffix(".csv"), columns, ([
-            fmt_float(row[c]) if isinstance(row[c], float) else
-            ("" if row[c] is None else row[c])
-            for c in columns
-        ] for row in rows))
-        return path.with_suffix(".csv")
-    if fmt == "json":
-        payload = [{c: _json_value(row[c]) for c in columns} for row in rows]
-        with open(path.with_suffix(".json"), "w", encoding="utf-8") as f:
+        path = _target(out_dir, f"{name}.csv")
+        _write_csv(path, columns, (
+            [fmt_float(v) if isinstance(v, float) else v for v in row] for row in rows
+        ))
+    elif fmt == "json":
+        path = _target(out_dir, f"{name}.json")
+        payload = [{c: float(fmt_float(v)) if isinstance(v, float) else v
+                    for c, v in zip(columns, row)} for row in rows]
+        with open(path, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2)
             f.write("\n")
-        return path.with_suffix(".json")
-    raise ValueError(f"unknown report format {fmt!r}")
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return path
 
 
-def _write_plot(path: Path, rows: list[Sequence]) -> Path:
+def _write_plot(out_dir: Pathish, name: str, rows: list[Sequence]) -> Path:
+    path = _target(out_dir, name)
     with open(path, "w", encoding="utf-8") as f:
         for row in rows:
             f.write("\t".join(fmt_float(v) if isinstance(v, float) else str(v) for v in row))
@@ -74,82 +77,43 @@ def _write_plot(path: Path, rows: list[Sequence]) -> Path:
 
 
 def emit_scorecards(cards: Sequence[ScoreCard], out_dir: Pathish, fmt: str = "csv") -> list[Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for card in sorted(cards, key=lambda c: c.pi_id):
-        rows.append({
-            "pi_id": card.pi_id,
-            "period_start": card.period[0],
-            "period_end": card.period[1],
-            "paper_count": card.paper_count,
-            "o_raw": card.o_raw,
-            "o_weighted": card.o_weighted,
-            "t_equiv": card.t_equiv,
-            "efficiency": card.efficiency,
-            "leadership": card.leadership,
-            "l_fund": card.l_fund,
-        })
-    return [_write_rows(out_dir / "scorecards", SCORECARD_COLUMNS, rows, fmt)]
+    rows = [
+        (c.pi_id, *c.period, c.paper_count, c.o_raw, c.o_weighted, c.t_equiv,
+         c.efficiency, c.leadership, c.l_fund)
+        for c in sorted(cards, key=lambda c: c.pi_id)
+    ]
+    return [_write_rows(out_dir, "scorecards", SCORECARD_COLUMNS, rows, fmt)]
 
 
 def emit_cohort(report: CohortReport, out_dir: Pathish, fmt: str = "csv") -> list[Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    grouping = report.grouping.value
     rows = []
-    for summary in report.groups:
+    for s in report.groups:
         for metric in COHORT_METRICS:
-            m = summary.metrics[metric]
-            rows.append({
-                "grouping": report.grouping.value,
-                "group": summary.group,
-                "n": summary.n,
-                "metric": metric,
-                "mean": m.mean,
-                "sd": m.sd,
-                "p": m.p,
-                "mark": m.mark,
-            })
-    name = f"cohort_{report.grouping.value}"
-    return [_write_rows(out_dir / name, COHORT_COLUMNS, rows, fmt)]
+            m = s.metrics[metric]
+            rows.append((grouping, s.group, s.n, metric, m.mean, m.sd, m.p, m.mark))
+    return [_write_rows(out_dir, f"cohort_{grouping}", COHORT_COLUMNS, rows, fmt)]
 
 
 def emit_bins(series: BinSeries, out_dir: Pathish, fmt: str = "csv") -> list[Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [
-        {"step": series.step, "center": b.center,
-         "mean_leadership": b.mean_leadership, "count": b.count}
-        for b in series.bins
+    rows = [(series.step, b.center, b.mean_leadership, b.count) for b in series.bins]
+    excluded = [(e.t, e.leadership, e.reason) for e in series.excluded]
+    return [
+        _write_rows(out_dir, "bins", BIN_COLUMNS, rows, fmt),
+        _write_rows(out_dir, "bins_excluded", BIN_EXCLUDED_COLUMNS, excluded, fmt),
+        _write_plot(out_dir, "bins.tsv", [row[1:3] for row in rows]),
     ]
-    excluded = [
-        {"t": e.t, "leadership": e.leadership, "reason": e.reason}
-        for e in series.excluded
-    ]
-    paths = [
-        _write_rows(out_dir / "bins", BIN_COLUMNS, rows, fmt),
-        _write_rows(out_dir / "bins_excluded", BIN_EXCLUDED_COLUMNS, excluded, fmt),
-        _write_plot(out_dir / "bins.tsv",
-                    [(b.center, b.mean_leadership) for b in series.bins]),
-    ]
-    return paths
 
 
 def emit_trend(series: TrendSeries, out_dir: Pathish, fmt: str = "csv") -> list[Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [
-        {"year": p.year, "n": p.n, "leadership": p.leadership,
-         "o_weighted": p.o_weighted, "efficiency": p.efficiency, "t_equiv": p.t_equiv}
+        (p.year, p.n, p.leadership, p.o_weighted, p.efficiency, p.t_equiv)
         for p in series.points
     ]
-    paths = [_write_rows(out_dir / "trend", TREND_COLUMNS, rows, fmt)]
-    for metric in ("leadership", "o_weighted", "efficiency", "t_equiv"):
-        plot_rows = [
-            (p.year, getattr(p, metric)) for p in series.points
-            if getattr(p, metric) is not None
-        ]
-        paths.append(_write_plot(out_dir / f"trend_{metric}.tsv", plot_rows))
+    paths = [_write_rows(out_dir, "trend", TREND_COLUMNS, rows, fmt)]
+    for i, metric in enumerate(TREND_COLUMNS[2:], start=2):
+        plot_rows = [(row[0], row[i]) for row in rows if row[i] is not None]
+        paths.append(_write_plot(out_dir, f"trend_{metric}.tsv", plot_rows))
     return paths
 
 
@@ -159,13 +123,8 @@ def emit_correlations(
     out_dir: Pathish,
     fmt: str = "csv",
 ) -> list[Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table = [
-        {"group": r.group, "n": r.n, "r": r.r, "p": r.p, "mark": r.mark}
-        for r in rows
-    ]
+    table = [(r.group, r.n, r.r, r.p, r.mark) for r in rows]
     return [
-        _write_rows(out_dir / "correlations", CORRELATION_COLUMNS, table, fmt),
-        _write_plot(out_dir / "funding_scatter.tsv", [list(s) for s in samples]),
+        _write_rows(out_dir, "correlations", CORRELATION_COLUMNS, table, fmt),
+        _write_plot(out_dir, "funding_scatter.tsv", samples),
     ]

@@ -9,10 +9,20 @@ from __future__ import annotations
 
 import math
 import warnings
+from typing import Sequence
 
 _CF_EPS = 1e-10
 _CF_MAX_ITER = 300
 _CF_FPMIN = 1e-300
+
+
+def mean(values: Sequence[float]) -> float:
+    """Arithmetic mean; finite for finite values whose sum passes the float range."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        # Halving and doubling are exact, so the mean is the same up to rounding.
+        return 2 * (math.fsum(v / 2 for v in values) / len(values))
 
 
 def mean_sd(values: list[float]) -> tuple[float, float]:
@@ -25,9 +35,9 @@ def mean_sd(values: list[float]) -> tuple[float, float]:
         # Keep sd exactly 0 for constant input; fsum(n*v)/n can be off by
         # an ulp and would leak a spurious nonzero deviation.
         return float(first), 0.0
-    mean = math.fsum(values) / n
-    scale, unit = _unit_deviations(values, mean)
-    return mean, scale * math.sqrt(math.fsum(u * u for u in unit) / (n - 1))
+    center = mean(values)
+    scale, unit = _unit_deviations(values, center)
+    return center, scale * math.sqrt(math.fsum(u * u for u in unit) / (n - 1))
 
 
 def _unit_deviations(values: list[float], center: float) -> tuple[float, list[float]]:

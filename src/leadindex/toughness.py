@@ -112,10 +112,10 @@ def build_table(
             by_if[impact_factor] = by_if.get(impact_factor, 0) + count
             total += count
 
-    min_size = 2**level_count - 1
-    if total < min_size:
+    # Bit lengths first: 2**level_count alone can be too large to build.
+    if level_count > total.bit_length() or total < (min_size := 2**level_count - 1):
         raise ValueError(
-            f"corpus has {total} papers, need at least {min_size} for "
+            f"corpus has {total} papers, need at least 2**{level_count} - 1 for "
             f"{level_count} levels"
         )
     if divisor_mode is DivisorMode.GEOMETRIC_SUM:

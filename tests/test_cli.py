@@ -386,6 +386,24 @@ class TestReports:
         lead = next(r for r in rows if r["group"] == "1" and r["metric"] == "leadership")
         assert float(lead["p"]) <= 1.0
 
+    def test_means_of_sums_beyond_float_range(self, dataset_dir, tmp_path, capsys):
+        """Two sole authors at IF 1.5e307: each card is finite, their sum is not."""
+        root = write_inputs(tmp_path / "data", dataset_dir, [
+            PublicationRecord("p1", "P0002", 2010, "JBIG", 1, 1),
+            PublicationRecord("p2", "P0003", 2010, "JBIG", 1, 1),
+        ], [JournalYearIF("JBIG", 2010, 1.5e307)])
+        for command, flag in (("report-trend", "--span"), ("report-bins", "--period")):
+            out = tmp_path / command
+            assert main([*command_args(command, root, out), flag, "2010:2010"]) == 0
+            assert "Traceback" not in capsys.readouterr().err
+            for path in out.iterdir():
+                assert not NON_FINITE.search(path.read_text()), path.name
+        (year,) = csv.DictReader((tmp_path / "report-trend" / "trend.csv").open())
+        assert year["n"] == "2"
+        assert float(year["leadership"]) == pytest.approx(1.5e308)
+        (bin_,) = csv.DictReader((tmp_path / "report-bins" / "bins.csv").open())
+        assert float(bin_["mean_leadership"]) == pytest.approx(1.5e308)
+
     def test_correlate_mixed_currencies_is_1(self, dataset_dir, tmp_path):
         code = main(["correlate", *dataset_flags(dataset_dir),
                      "--grants", str(dataset_dir / "grants.csv"),

@@ -2,6 +2,7 @@
 
 import csv
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -252,6 +253,17 @@ class TestToughnessTableFile:
         path.write_text(text)
         with pytest.raises(FileFormatError):
             read_toughness_table(path)
+
+    def test_huge_levels_marker_rejected_before_building_it(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_toughness_table(path, self.table())
+        marker, header, *_ = path.read_text().splitlines()
+        marker = marker.replace("levels=4", "levels=1000000000000")
+        path.write_text("\n".join([marker, header, "2,5.0", "1,0.0", ""]))
+        started = time.perf_counter()
+        with pytest.raises(FileFormatError, match="weights must run"):
+            read_toughness_table(path)
+        assert time.perf_counter() - started < 1.0
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "table.csv"

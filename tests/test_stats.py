@@ -61,6 +61,11 @@ class TestMeanSd:
         assert mean == 2e200
         assert sd == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
 
+    def test_sums_beyond_float_range(self):
+        mean, sd = mean_sd([1.5e308, 1.6e308])
+        assert mean == pytest.approx(1.55e308, rel=1e-15)
+        assert sd == pytest.approx(1e307 / math.sqrt(2.0), rel=1e-12)
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=200))
     @settings(max_examples=60)
     def test_matches_exact_rational_reference(self, values):

@@ -1,6 +1,7 @@
 """Toughness level construction and weight lookup."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,12 @@ class TestBuildTable:
     def test_corpus_too_small_rejected(self):
         with pytest.raises(ValueError, match="need at least"):
             build_table([(1022, 2.0)])
+
+    def test_huge_level_count_rejected_before_building_it(self):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="need at least"):
+            build_table([(1023, 2.0)], level_count=10**18)
+        assert time.perf_counter() - started < 1.0
 
     def test_negative_rows_rejected(self):
         with pytest.raises(ValueError):
