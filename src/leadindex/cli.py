@@ -36,13 +36,25 @@ class UsageError(Exception):
     """Bad option combination or config value found outside argparse (exit 2)."""
 
 
+# Widest --period, --span or --years accepted: trend and report-trend do
+# work and write a row for every year of the span.
+MAX_SPAN_YEARS = 1000
+
+
 def _parse_span(text, name: str) -> tuple[int, int]:
     if isinstance(text, list):  # config-file form [START, END]
         text = ":".join(map(str, text))
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"{name} must look like START:END, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        start, end = (int(part) for part in text.split(":"))
+    except ValueError:  # not two parts, or a part not an integer
+        raise argparse.ArgumentTypeError(
+            f"{name} must look like START:END, got {text!r}") from None
+    if start > end:
+        raise argparse.ArgumentTypeError(f"{name} START must not exceed END, got {text!r}")
+    if end - start >= MAX_SPAN_YEARS:
+        raise argparse.ArgumentTypeError(
+            f"{name} must cover at most {MAX_SPAN_YEARS} years, got {text!r}")
+    return start, end
 
 
 def _float_flag(rule: str, ok):

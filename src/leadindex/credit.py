@@ -15,6 +15,10 @@ from __future__ import annotations
 import enum
 import threading
 
+# Largest author list a publication record may name; also the default
+# search limit of group_size_for_credit.
+MAX_AUTHOR_COUNT = 100_000
+
 # Prefix cache of harmonic numbers, extended lazily under a lock so that
 # callers on concurrent threads never observe a partially grown list.
 # _HARMONIC[k] holds H_k accumulated with Neumaier compensation, which keeps
@@ -97,7 +101,7 @@ def scenario_share(
 def group_size_for_credit(
     target_a: float,
     scenario: CreditScenario = CreditScenario.RANKED,
-    max_n: int = 100_000,
+    max_n: int = MAX_AUTHOR_COUNT,
 ) -> int:
     """Largest group size whose lead position still earns at least ``target_a``.
 

@@ -32,7 +32,6 @@ Pathish = Union[str, Path]
 _TABLE_MARKER = "# toughness-table"
 _TABLE_VERSION = 1
 
-_INT_RE = re.compile(r"[+-]?\d+")
 _FLOAT_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 
 
@@ -41,7 +40,9 @@ class _RowError(ValueError):
 
 
 def _parse_int(text: str, field: str) -> int:
-    if not _INT_RE.fullmatch(text):
+    # An optional sign, then one or more Unicode decimal digits: int() would
+    # also take surrounding whitespace and "_" between digits.
+    if not (text[1:] if text[:1] in "+-" else text).isdecimal():
         raise _RowError(f"{field}: not an integer: {text!r}")
     return int(text)
 
@@ -147,19 +148,22 @@ def _parse_rows(path: Pathish, f, columns, make, header_line: int = 1) -> list:
         raise FileFormatError(
             [f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}"]
         )
+    width = len(columns)
+    typed = [(i, name, parse) for i, (name, parse) in enumerate(columns)
+             if parse is not None]
     records = []
     errors = []
     start = reader.line_num + header_line  # file line the next row starts on
     for row in reader:
         line, start = start, reader.line_num + header_line
-        if len(row) != len(columns):
-            errors.append(f"{path}:{line}: expected {len(columns)} fields, got {len(row)}")
+        if len(row) != width:
+            errors.append(f"{path}:{line}: expected {width} fields, got {len(row)}")
             continue
         try:
-            records.append(make(*[
-                text if parse is None else parse(text, name)
-                for (name, parse), text in zip(columns, row)
-            ]))
+            # Typed cells are converted in place, leftmost first.
+            for i, name, parse in typed:
+                row[i] = parse(row[i], name)
+            records.append(make(*row))
         except ValueError as exc:  # _RowError or model invariant violation
             errors.append(f"{path}:{line}: {exc}")
     if errors:

@@ -10,10 +10,11 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
+from .credit import MAX_AUTHOR_COUNT
 from .errors import DataValidationError
 
 
@@ -35,16 +36,13 @@ class IFFallback(enum.Enum):
     NEAREST_PRIOR_YEAR = "nearest-prior-year"
 
 
-@dataclass(frozen=True)
-class PublicationRecord:
-    """One paper attributed to an investigator.
+# The four input records are tuples: a NamedTuple base declares the fields,
+# and each record's __new__ checks the values before tuple.__new__ stores
+# them, so a record costs one tuple. _replace and _make skip __new__ and its
+# checks; a changed record is built through the constructor instead.
 
-    ``credit_position`` is the investigator's rank in the paper's
-    contribution ordering; ``tie_span`` counts the consecutive positions
-    (starting there) that contributed equally, 1 meaning no tie. Only
-    records with ``is_corresponding`` enter scoring.
-    """
 
+class _PublicationFields(NamedTuple):
     paper_id: str
     pi_id: str
     year: int
@@ -54,54 +52,69 @@ class PublicationRecord:
     tie_span: int = 1
     is_corresponding: bool = True
 
-    def __post_init__(self):
-        if not self.paper_id:
+
+class PublicationRecord(_PublicationFields):
+    """One paper attributed to an investigator.
+
+    ``credit_position`` is the investigator's rank in the paper's
+    contribution ordering; ``tie_span`` counts the consecutive positions
+    (starting there) that contributed equally, 1 meaning no tie. Only
+    records with ``is_corresponding`` enter scoring. ``author_count`` is
+    at most MAX_AUTHOR_COUNT.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, paper_id: str, pi_id: str, year: int, journal: str,
+                author_count: int, credit_position: int, tie_span: int = 1,
+                is_corresponding: bool = True):
+        if not paper_id:
             raise ValueError("paper_id must be non-empty")
-        if not self.pi_id:
+        if not pi_id:
             raise ValueError("pi_id must be non-empty")
-        if not self.journal:
+        if not journal:
             raise ValueError("journal must be non-empty")
-        if self.author_count < 1:
-            raise ValueError(f"author_count must be >= 1, got {self.author_count}")
-        if not 1 <= self.credit_position <= self.author_count:
+        if author_count < 1:
+            raise ValueError(f"author_count must be >= 1, got {author_count}")
+        if author_count > MAX_AUTHOR_COUNT:
             raise ValueError(
-                f"credit_position {self.credit_position} out of range "
-                f"1..{self.author_count}"
-            )
-        if self.tie_span < 1:
-            raise ValueError(f"tie_span must be >= 1, got {self.tie_span}")
-        if self.credit_position + self.tie_span - 1 > self.author_count:
+                f"author_count must be <= {MAX_AUTHOR_COUNT}, got {author_count}")
+        if not 1 <= credit_position <= author_count:
             raise ValueError(
-                f"tie_span {self.tie_span} at position {self.credit_position} "
-                f"exceeds author_count {self.author_count}"
+                f"credit_position {credit_position} out of range 1..{author_count}"
             )
+        if tie_span < 1:
+            raise ValueError(f"tie_span must be >= 1, got {tie_span}")
+        if credit_position + tie_span - 1 > author_count:
+            raise ValueError(
+                f"tie_span {tie_span} at position {credit_position} "
+                f"exceeds author_count {author_count}"
+            )
+        return tuple.__new__(cls, (paper_id, pi_id, year, journal, author_count,
+                                   credit_position, tie_span, is_corresponding))
 
 
-@dataclass(frozen=True)
-class JournalYearIF:
-    """Journal impact factor for one calendar year."""
-
+class _JournalYearIFFields(NamedTuple):
     journal: str
     year: int
     impact_factor: float
 
-    def __post_init__(self):
-        if not self.journal:
+
+class JournalYearIF(_JournalYearIFFields):
+    """Journal impact factor for one calendar year."""
+
+    __slots__ = ()
+
+    def __new__(cls, journal: str, year: int, impact_factor: float):
+        if not journal:
             raise ValueError("journal must be non-empty")
-        if not (math.isfinite(self.impact_factor) and self.impact_factor >= 0):
+        if not (math.isfinite(impact_factor) and impact_factor >= 0):
             raise ValueError(
-                f"impact_factor must be finite and >= 0, got {self.impact_factor}")
+                f"impact_factor must be finite and >= 0, got {impact_factor}")
+        return tuple.__new__(cls, (journal, year, impact_factor))
 
 
-@dataclass(frozen=True)
-class InvestigatorProfile:
-    """Demographic and institutional attributes of one investigator.
-
-    ``tier`` is the institutional class (1 = top tier, 2, 3). Funding
-    amounts are only comparable within one currency; comparison sites
-    enforce that, not this type.
-    """
-
+class _InvestigatorProfileFields(NamedTuple):
     pi_id: str
     country: str
     tier: int
@@ -111,36 +124,56 @@ class InvestigatorProfile:
     total_funding: Optional[float] = None
     currency: Optional[str] = None
 
-    def __post_init__(self):
-        if not self.pi_id:
+
+class InvestigatorProfile(_InvestigatorProfileFields):
+    """Demographic and institutional attributes of one investigator.
+
+    ``tier`` is the institutional class (1 = top tier, 2, 3). Funding
+    amounts are only comparable within one currency; comparison sites
+    enforce that, not this type.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pi_id: str, country: str, tier: int,
+                gender: Optional[Gender] = None, birth_year: Optional[int] = None,
+                rank: Optional[Rank] = None, total_funding: Optional[float] = None,
+                currency: Optional[str] = None):
+        if not pi_id:
             raise ValueError("pi_id must be non-empty")
-        if not self.country:
+        if not country:
             raise ValueError("country must be non-empty")
-        if self.tier not in (1, 2, 3):
-            raise ValueError(f"tier must be 1, 2 or 3, got {self.tier}")
-        if self.total_funding is not None:
-            if not (math.isfinite(self.total_funding) and self.total_funding >= 0):
+        if tier not in (1, 2, 3):
+            raise ValueError(f"tier must be 1, 2 or 3, got {tier}")
+        if total_funding is not None:
+            if not (math.isfinite(total_funding) and total_funding >= 0):
                 raise ValueError("total_funding must be finite and >= 0")
-            if not self.currency:
+            if not currency:
                 raise ValueError("currency required when total_funding is set")
+        return tuple.__new__(cls, (pi_id, country, tier, gender, birth_year, rank,
+                                   total_funding, currency))
 
 
-@dataclass(frozen=True)
-class GrantRecord:
-    """One year of funding to one investigator."""
-
+class _GrantFields(NamedTuple):
     pi_id: str
     year: int
     amount: float
     currency: str
 
-    def __post_init__(self):
-        if not self.pi_id:
+
+class GrantRecord(_GrantFields):
+    """One year of funding to one investigator."""
+
+    __slots__ = ()
+
+    def __new__(cls, pi_id: str, year: int, amount: float, currency: str):
+        if not pi_id:
             raise ValueError("pi_id must be non-empty")
-        if not (math.isfinite(self.amount) and self.amount >= 0):
-            raise ValueError(f"amount must be finite and >= 0, got {self.amount}")
-        if not self.currency:
+        if not (math.isfinite(amount) and amount >= 0):
+            raise ValueError(f"amount must be finite and >= 0, got {amount}")
+        if not currency:
             raise ValueError("currency must be non-empty")
+        return tuple.__new__(cls, (pi_id, year, amount, currency))
 
 
 @dataclass(frozen=True)
@@ -318,6 +351,8 @@ def apply_funding(
     for p in profiles:
         if p.pi_id in totals:
             amount, currency = totals[p.pi_id]
-            p = replace(p, total_funding=amount, currency=currency)
+            # The constructor, not _replace, so the new total is checked.
+            p = InvestigatorProfile(p.pi_id, p.country, p.tier, p.gender,
+                                    p.birth_year, p.rank, amount, currency)
         out.append(p)
     return out

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leadindex.cli import main
+from leadindex.cli import MAX_SPAN_YEARS, _parse_span, main
 from leadindex.fileio import write_journals, write_profiles, write_publications
 from leadindex.model import InvestigatorProfile, JournalYearIF, PublicationRecord
 
@@ -144,6 +144,37 @@ class TestExitCodes:
                   "--table", str(dataset_dir / "table.csv"),
                   "--period", "2008-2013"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("span", ["2013:2008", "0:1000000000", "1000:2000"])
+    @pytest.mark.parametrize("command, flag", [
+        ("score", "--period"), ("report-trend", "--span"), ("synth", "--years"),
+    ])
+    def test_reversed_or_too_wide_span_is_2_before_any_file_is_read(
+            self, dataset_dir, tmp_path, command, flag, span):
+        out = tmp_path / "out"
+        if command == "synth":
+            args = ["synth", "--out-dir", str(out)]
+        else:  # an absent input would exit 1 if it were read
+            args = [*command_args(command, dataset_dir, out),
+                    "--publications", str(tmp_path / "absent.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, flag, span])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_span_from_config_is_bounded_too(self, dataset_dir, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"span": [2013, 2008]}))
+        out = tmp_path / "out"
+        assert main(["report-trend", *dataset_flags(dataset_dir),
+                     "--table", str(dataset_dir / "table.csv"),
+                     "--out-dir", str(out), "--config", str(config)]) == 2
+        assert not out.exists()
+
+    def test_span_bounds_are_inclusive(self):
+        assert _parse_span("2010:2010", "span") == (2010, 2010)
+        assert _parse_span(f"1:{MAX_SPAN_YEARS}", "span") == (1, MAX_SPAN_YEARS)
+        assert _parse_span([-5, MAX_SPAN_YEARS - 6], "span") == (-5, MAX_SPAN_YEARS - 6)
 
     def test_jobs_flag_and_config_key_are_2(self, dataset_dir, tmp_path):
         score = ["score", *dataset_flags(dataset_dir),

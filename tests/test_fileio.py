@@ -1,15 +1,23 @@
 """CSV readers/writers: round-trips, strict parsing and error reporting."""
 
 import csv
+import io
 import random
+import re
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from leadindex.credit import MAX_AUTHOR_COUNT
 from leadindex.errors import FileFormatError
 from leadindex.fileio import (
+    _parse_float,
+    _parse_int,
+    _parse_rows,
+    _RowError,
+    _tuple,
     _write_csv,
     read_grants,
     read_journals,
@@ -209,6 +217,18 @@ class TestStrictParsing:
         assert len(exc.value.errors) == 1
         assert exc.value.errors[0].startswith(f"{path}:2: {column}:")
 
+    def test_author_count_capped(self, tmp_path):
+        path = tmp_path / "pubs.csv"
+        self.write_lines(path, [
+            "paper_id,pi_id,year,journal,author_count,credit_position,tie_span,is_corresponding",
+            f"p1,P1,2010,JA,{MAX_AUTHOR_COUNT + 1},1,1,true",
+            f"p2,P1,2010,JA,{MAX_AUTHOR_COUNT},{MAX_AUTHOR_COUNT},1,true",
+        ])
+        with pytest.raises(FileFormatError) as exc:
+            read_publications(path)
+        assert exc.value.errors == [
+            f"{path}:2: author_count must be <= 100000, got {MAX_AUTHOR_COUNT + 1}"]
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_publications(tmp_path / "absent.csv")
@@ -386,3 +406,59 @@ class TestEveryFormatFuzzed:
             read(path)
         assert len(exc.value.errors) == 1
         assert exc.value.errors[0].startswith(f"{path}:{line}: {column}:")
+
+
+# The integer check as a regular expression, as the parser once had it: the
+# reference the isdecimal() check must agree with, error texts included.
+_INT_RE = re.compile(r"[+-]?\d+")
+
+
+def _parse_int_by_regex(text, field):
+    if not _INT_RE.fullmatch(text):
+        raise _RowError(f"{field}: not an integer: {text!r}")
+    return int(text)
+
+
+# Signs, ASCII and other Unicode decimal digits (Arabic-Indic, Devanagari,
+# fullwidth, mathematical bold), digits that are not decimal (superscript two,
+# one half), and what int() alone would let through: "_" and whitespace.
+INT_CHARS = st.sampled_from("+-0123456789_ \t\n\r\u0663\u096d\uff15\U0001d7d3\u00b2\u00bd.ex")
+
+
+def _parse_year_cell(cell, parse_int):
+    """``_parse_rows`` over one journals row whose year is ``cell``: rows or errors."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerows(
+        [["journal", "year", "impact_factor"], ["JA", cell, "1.5"]])
+    columns = [("journal", None), ("year", parse_int), ("impact_factor", _parse_float)]
+    try:
+        return _parse_rows("ifs.csv", io.StringIO(buffer.getvalue(), newline=""),
+                           columns, _tuple)
+    except FileFormatError as exc:
+        return exc.errors
+
+
+class TestIntParserMatchesRegex:
+    @given(cell=st.text(INT_CHARS, max_size=6) | st.text(CHARS, max_size=6))
+    @example(cell="")
+    @example(cell="+")
+    @example(cell="-0")
+    @example(cell="+-1")
+    @example(cell="1_000")
+    @example(cell=" 12")
+    @example(cell="12\n")
+    @example(cell="\u0663\uff15")  # accepted: 35
+    @example(cell="-\U0001d7d3")  # accepted: -5
+    @example(cell="\u00b2")
+    @settings(max_examples=500)
+    def test_same_cells_accepted_with_same_errors(self, cell):
+        try:
+            expected = _parse_int_by_regex(cell, "year")
+        except _RowError as exc:
+            with pytest.raises(_RowError) as got:
+                _parse_int(cell, "year")
+            assert str(got.value) == str(exc)
+        else:
+            assert _parse_int(cell, "year") == expected
+        assert (_parse_year_cell(cell, _parse_int)
+                == _parse_year_cell(cell, _parse_int_by_regex))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leadindex.credit import MAX_AUTHOR_COUNT
 from leadindex.errors import DataValidationError
 from leadindex.model import (
     Gender,
@@ -80,6 +81,68 @@ def test_grant_amount_must_be_non_negative():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             GrantRecord("P1", 2010, bad, "CNY")
+
+
+# Each input record type, valid values for its fields in order, and one bad
+# value for each check of its constructor.
+RECORD_CASES = [
+    (PublicationRecord,
+     dict(paper_id="p1", pi_id="P1", year=2010, journal="J", author_count=3,
+          credit_position=2, tie_span=2, is_corresponding=False),
+     [("paper_id", ""), ("pi_id", ""), ("journal", ""), ("author_count", 0),
+      ("author_count", MAX_AUTHOR_COUNT + 1), ("credit_position", 0),
+      ("credit_position", 4), ("tie_span", 0), ("tie_span", 3)]),
+    (JournalYearIF,
+     dict(journal="J", year=2010, impact_factor=1.5),
+     [("journal", ""), ("impact_factor", -0.1), ("impact_factor", math.nan),
+      ("impact_factor", math.inf)]),
+    (InvestigatorProfile,
+     dict(pi_id="P1", country="CN", tier=2, gender=Gender.FEMALE, birth_year=1970,
+          rank=Rank.PROFESSOR, total_funding=10.0, currency="CNY"),
+     [("pi_id", ""), ("country", ""), ("tier", 4), ("total_funding", -5.0),
+      ("total_funding", math.nan), ("currency", None)]),
+    (GrantRecord,
+     dict(pi_id="P1", year=2010, amount=5e4, currency="CNY"),
+     [("pi_id", ""), ("amount", -1.0), ("amount", math.inf), ("currency", "")]),
+]
+BAD_VALUES = [(cls, values, field, bad)
+              for cls, values, cases in RECORD_CASES for field, bad in cases]
+
+
+class TestInputRecords:
+    """The four input records are tuples that check their values when built."""
+
+    @pytest.mark.parametrize("cls, values, _", RECORD_CASES,
+                             ids=[c[0].__name__ for c in RECORD_CASES])
+    def test_positional_and_keyword_forms_agree(self, cls, values, _):
+        record = cls(*values.values())
+        assert record == cls(**values) == tuple(values.values())
+        assert record._fields == tuple(values)
+        assert repr(record).startswith(f"{cls.__name__}(")
+
+    @pytest.mark.parametrize("cls, values, field, bad", BAD_VALUES,
+                             ids=[f"{c.__name__}-{f}={b!r}" for c, _, f, b in BAD_VALUES])
+    def test_bad_value_refused_by_position_and_keyword(self, cls, values, field, bad):
+        values = {**values, field: bad}
+        with pytest.raises(ValueError):
+            cls(*values.values())
+        with pytest.raises(ValueError):
+            cls(**values)
+
+    @pytest.mark.parametrize("cls, values, _", RECORD_CASES,
+                             ids=[c[0].__name__ for c in RECORD_CASES])
+    def test_immutable(self, cls, values, _):
+        record = cls(**values)
+        for field in values:
+            with pytest.raises(AttributeError):
+                setattr(record, field, values[field])
+        with pytest.raises(AttributeError):
+            record.extra = 1  # no instance dict either
+
+    @pytest.mark.parametrize("total", [math.nan, math.inf, -1.0])
+    def test_apply_funding_checks_the_new_total(self, total):
+        with pytest.raises(ValueError, match="total_funding must be finite and >= 0"):
+            apply_funding([InvestigatorProfile("P1", "CN", 1)], {"P1": (total, "CNY")})
 
 
 class TestScoreCard:
