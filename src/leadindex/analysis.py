@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .credit import CreditScenario
 from .errors import DataValidationError
-from .metrics import _metrics, _valued
+from .metrics import _metrics, _valuer
 from .model import ScoreCard, ValidatedDataset
 from .stats import mean, mean_sd, pearson, significance_mark, welch_t_test
 from .toughness import ToughnessTable
@@ -290,9 +290,10 @@ def trend(
     # One pass over each investigator's papers values each once; every
     # (investigator, year) keeps only its (O', O, T, E, L) tuple.
     by_year: dict[int, list[tuple]] = {year: [] for year in range(start, end + 1)}
+    valued = _valuer(dataset, table, scenario)
     for pid in pi_ids:
         papers: dict[int, list[tuple]] = {}
-        for paper in _valued(dataset, pid, span, table, scenario):
+        for paper in valued(pid, span):
             papers.setdefault(paper[0], []).append(paper)
         for year, group in papers.items():
             by_year[year].append(_metrics(pid, (year, year), group))

@@ -9,6 +9,7 @@ files. Exit codes: 0 success, 1 validation/data errors, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
@@ -21,6 +22,7 @@ from .credit import CreditScenario
 from .errors import DataValidationError, LeadIndexError
 from .metrics import score_all
 from .model import (
+    TIERS,
     IFFallback,
     ValidatedDataset,
     aggregate_grants,
@@ -57,11 +59,11 @@ def _parse_span(text, name: str) -> tuple[int, int]:
     return start, end
 
 
-def _float_flag(rule: str, ok):
-    """argparse type: a float for which ``ok`` holds, else a usage error citing ``rule``."""
+def _number_flag(convert, rule: str, ok):
+    """argparse type: ``convert(text)`` if ``ok`` holds for it, else a usage error citing ``rule``."""
 
-    def number(text) -> float:
-        value = float(text)
+    def number(text):
+        value = convert(text)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
         return value
@@ -69,9 +71,10 @@ def _float_flag(rule: str, ok):
     return number
 
 
-_parse_step = _float_flag("finite and > 0", lambda v: 0 < v < math.inf)
-_parse_max_t = _float_flag("a number, not NaN", lambda v: not math.isnan(v))
-_parse_exclude_t = _float_flag("finite", math.isfinite)
+_parse_step = _number_flag(float, "finite and > 0", lambda v: 0 < v < math.inf)
+_parse_max_t = _number_flag(float, "a number, not NaN", lambda v: not math.isnan(v))
+_parse_exclude_t = _number_flag(float, "finite", math.isfinite)
+_parse_levels = _number_flag(int, ">= 1", lambda v: v >= 1)
 
 
 def _parse_exclude(value) -> tuple[float, ...]:
@@ -302,7 +305,7 @@ def _add_table_options(parser) -> None:
 def _add_corpus_options(parser) -> None:
     parser.add_argument("--corpus", type=Path, default=None,
                         help="toughness reference corpus CSV")
-    parser.add_argument("--levels", type=int, default=10,
+    parser.add_argument("--levels", type=_parse_levels, default=10,
                         help="toughness level count (default 10)")
     parser.add_argument("--divisor-mode", dest="divisor_mode",
                         default=DivisorMode.GEOMETRIC_SUM,
@@ -374,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
                    type=CreditScenario, choices=list(CreditScenario),
                    metavar="{ranked,tied}")
     p.add_argument("--country", default=None)
-    p.add_argument("--tier", type=int, default=None, help="restrict to one class")
+    p.add_argument("--tier", type=int, choices=TIERS, default=None,
+                   help="restrict to one class")
     _add_output_options(p)
     _add_config_option(p)
     p.set_defaults(func=cmd_report_trend)
@@ -418,6 +422,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # A run makes next to no reference cycles, yet each pass of the cyclic
+    # collector would walk every loaded record: records are tuple
+    # subclasses, which CPython never untracks. The caller's setting is
+    # restored on every exit, a SystemExit from argparse included.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -34,6 +34,13 @@ _TABLE_VERSION = 1
 
 _FLOAT_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 
+# Most entries per column memo in _parse_rows. Years, journals, author
+# counts and impact factors repeat down a column and fit many times over;
+# a column of unique cells (paper_id) stops storing at the bound, so it
+# costs one failed lookup per row rather than one entry per row.
+_MEMO_LIMIT = 2**16
+_MISS = object()  # memo lookups can hit a None, which _optional yields
+
 
 class _RowError(ValueError):
     """Field-level parse failure; converted to a line-numbered message."""
@@ -44,7 +51,10 @@ def _parse_int(text: str, field: str) -> int:
     # also take surrounding whitespace and "_" between digits.
     if not (text[1:] if text[:1] in "+-" else text).isdecimal():
         raise _RowError(f"{field}: not an integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise _RowError(f"{field}: integer too long: {len(text)} characters") from None
 
 
 def _parse_float(text: str, field: str) -> float:
@@ -149,8 +159,9 @@ def _parse_rows(path: Pathish, f, columns, make, header_line: int = 1) -> list:
             [f"{path}: bad header {','.join(first)!r}, expected {','.join(header)!r}"]
         )
     width = len(columns)
-    typed = [(i, name, parse) for i, (name, parse) in enumerate(columns)
-             if parse is not None]
+    # Each column's memo maps cell text to its value; a bad cell raises
+    # before it is stored, so it is reported on every line it appears on.
+    memos = [(i, name, parse, {}) for i, (name, parse) in enumerate(columns)]
     records = []
     errors = []
     start = reader.line_num + header_line  # file line the next row starts on
@@ -160,9 +171,15 @@ def _parse_rows(path: Pathish, f, columns, make, header_line: int = 1) -> list:
             errors.append(f"{path}:{line}: expected {width} fields, got {len(row)}")
             continue
         try:
-            # Typed cells are converted in place, leftmost first.
-            for i, name, parse in typed:
-                row[i] = parse(row[i], name)
+            # Cells are converted in place, leftmost first.
+            for i, name, parse, memo in memos:
+                text = row[i]
+                value = memo.get(text, _MISS)
+                if value is _MISS:
+                    value = text if parse is None else parse(text, name)
+                    if len(memo) < _MEMO_LIMIT:
+                        memo[text] = value
+                row[i] = value
             records.append(make(*row))
         except ValueError as exc:  # _RowError or model invariant violation
             errors.append(f"{path}:{line}: {exc}")

@@ -115,20 +115,37 @@ def leadership_from_funding(o: float, funding: float) -> float:
     return o / math.sqrt(funding)
 
 
-def _valued(
-    dataset: ValidatedDataset,
-    pi_id: str,
-    period: tuple[int, int],
-    table: ToughnessTable,
-    scenario: CreditScenario,
-) -> list[tuple[int, float, float, float]]:
-    """(year, IF, weighted IF, credit share) of each corresponding paper in the period."""
+def _valuer(dataset: ValidatedDataset, table: ToughnessTable, scenario: CreditScenario):
+    """A function ``valued(pi_id, period)`` over one dataset, table and scenario.
+
+    ``valued`` returns the (year, IF, weighted IF, credit share) of each of
+    the investigator's corresponding papers in the period. It computes
+    weighted_if once per distinct IF and a_index once per distinct
+    (author_count, position, tie span), and keeps both caches for as long
+    as it lives: one scoring call.
+    """
+    resolved_if = dataset.resolved_if
     tied = scenario is CreditScenario.TIED
-    valued = []
-    for rec in dataset.corresponding_papers(pi_id, period):
-        raw = dataset.resolved_if[rec.paper_id]
-        share = a_index(rec.author_count, rec.credit_position, rec.tie_span if tied else 1)
-        valued.append((rec.year, raw, weighted_if(table, raw), share))
+    weighted: dict[float, float] = {}
+    shares: dict[tuple[int, int, int], float] = {}
+
+    def valued(pi_id: str, period: tuple[int, int]) -> list[tuple[int, float, float, float]]:
+        start, end = period
+        papers = []
+        for paper_id, _, year, _, n, i, s, _ in dataset.corresponding_papers(pi_id):
+            if not start <= year <= end:
+                continue
+            raw = resolved_if[paper_id]
+            value = weighted.get(raw)
+            if value is None:
+                value = weighted[raw] = weighted_if(table, raw)
+            key = (n, i, s if tied else 1)
+            share = shares.get(key)
+            if share is None:
+                share = shares[key] = a_index(*key)
+            papers.append((year, raw, value, share))
+        return papers
+
     return valued
 
 
@@ -192,7 +209,7 @@ def score_investigator(
     start, end = period
     if start > end:
         raise ValueError(f"period start {start} after end {end}")
-    return _card(dataset, pi_id, period, _valued(dataset, pi_id, period, table, scenario))
+    return _card(dataset, pi_id, period, _valuer(dataset, table, scenario)(pi_id, period))
 
 
 def score_all(
@@ -202,7 +219,8 @@ def score_all(
     scenario: CreditScenario = CreditScenario.RANKED,
 ) -> list[ScoreCard]:
     """Score every profiled investigator, sorted by pi_id."""
-    return [
-        score_investigator(dataset, pid, period, table, scenario)
-        for pid in dataset.pi_ids
-    ]
+    start, end = period
+    if start > end:
+        raise ValueError(f"period start {start} after end {end}")
+    valued = _valuer(dataset, table, scenario)
+    return [_card(dataset, pid, period, valued(pid, period)) for pid in dataset.pi_ids]

@@ -17,6 +17,9 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 from .credit import MAX_AUTHOR_COUNT
 from .errors import DataValidationError
 
+# Institutional classes an investigator profile may name, 1 being the top.
+TIERS = (1, 2, 3)
+
 
 class Gender(enum.Enum):
     MALE = "male"
@@ -143,7 +146,7 @@ class InvestigatorProfile(_InvestigatorProfileFields):
             raise ValueError("pi_id must be non-empty")
         if not country:
             raise ValueError("country must be non-empty")
-        if tier not in (1, 2, 3):
+        if tier not in TIERS:
             raise ValueError(f"tier must be 1, 2 or 3, got {tier}")
         if total_funding is not None:
             if not (math.isfinite(total_funding) and total_funding >= 0):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -162,6 +163,22 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("toughness-build", ["--levels", "0"]),
+        ("toughness-build", ["--levels", "-3"]),
+        ("report-trend", ["--tier", "0"]),
+        ("report-trend", ["--tier", "9"]),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_levels_below_one_or_unknown_tier_is_2_before_any_file_is_read(
+            self, dataset_dir, tmp_path, command, flags):
+        out = tmp_path / "out"
+        absent = tmp_path / "absent.csv"  # would exit 1 if it were read
+        source = "--corpus" if command == "toughness-build" else "--publications"
+        with pytest.raises(SystemExit) as exc:
+            main([*command_args(command, dataset_dir, out), source, str(absent), *flags])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_span_from_config_is_bounded_too(self, dataset_dir, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"span": [2013, 2008]}))
@@ -196,6 +213,34 @@ class TestExitCodes:
         for command in ("validate", "toughness-build", "score", "report-cohort",
                         "report-trend", "report-bins", "correlate", "synth"):
             assert command in out
+
+
+class TestCollectorState:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize("case, code", [
+        ("passes", 0), ("missing-file", 1), ("missing-option", 2), ("bad-flag", 2),
+    ])
+    def test_main_restores_the_callers_setting(self, dataset_dir, tmp_path,
+                                               enabled, case, code):
+        args = {
+            "passes": ["validate", *dataset_flags(dataset_dir)],
+            "missing-file": ["validate", *dataset_flags(dataset_dir),
+                             "--publications", str(tmp_path / "absent.csv")],
+            "missing-option": ["validate"],
+            "bad-flag": ["validate", "--bogus"],  # argparse raises SystemExit
+        }[case]
+        prior = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                got = main(args)
+            except SystemExit as exc:
+                got = exc.code
+            after = gc.isenabled()
+        finally:
+            (gc.enable if prior else gc.disable)()
+        assert got == code
+        assert after is enabled
 
 
 class TestScore:
@@ -330,6 +375,8 @@ class TestConfigFile:
         ("report-bins", "step", "0.25", ["--step", "0.25"]),
         ("toughness-build", "levels", True, None),
         ("toughness-build", "levels", 2.5, None),
+        ("toughness-build", "levels", 0, None),
+        ("report-trend", "tier", 9, None),
         ("score", "format", "xml", None),
         ("report-bins", "max_t", "x", None),
         ("score", "scenario", "bogus", None),

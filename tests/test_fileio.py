@@ -4,15 +4,21 @@ import csv
 import io
 import random
 import re
+import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from leadindex import fileio
 from leadindex.credit import MAX_AUTHOR_COUNT
 from leadindex.errors import FileFormatError
 from leadindex.fileio import (
+    _non_negative,
+    _optional,
+    _parse_bool,
     _parse_float,
     _parse_int,
     _parse_rows,
@@ -228,6 +234,32 @@ class TestStrictParsing:
             read_publications(path)
         assert exc.value.errors == [
             f"{path}:2: author_count must be <= 100000, got {MAX_AUTHOR_COUNT + 1}"]
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no digit limit on int() before Python 3.10.7")
+    @pytest.mark.parametrize("read, header, row", [
+        (read_journals, "journal,year,impact_factor", "JA,{year},1.5"),
+        (read_publications,
+         "paper_id,pi_id,year,journal,author_count,credit_position,tie_span,is_corresponding",
+         "p1,P1,{year},JA,3,1,1,true"),
+    ], ids=["journals", "publications"])
+    def test_integer_past_the_digit_limit_names_its_column(self, tmp_path, read, header, row):
+        """int() refuses more than 4,300 digits; the error names the column
+        and line like any bad cell, without echoing the digits."""
+        path = tmp_path / "data.csv"
+        self.write_lines(path, [header, row.format(year="1" * 5000)])
+        with pytest.raises(FileFormatError) as exc:
+            read(path)
+        assert exc.value.errors == [f"{path}:2: year: integer too long: 5000 characters"]
+
+    def test_bad_cell_repeated_on_k_lines_gives_k_errors(self, tmp_path):
+        path = tmp_path / "ifs.csv"
+        self.write_lines(path, ["journal,year,impact_factor", "JA,20x0,1.5",
+                                "JA,2010,1.5", "JB,20x0,1.5", "JA,20x0,-1"])
+        with pytest.raises(FileFormatError) as exc:
+            read_journals(path)
+        assert exc.value.errors == [
+            f"{path}:{line}: year: not an integer: '20x0'" for line in (2, 4, 5)]
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -462,3 +494,57 @@ class TestIntParserMatchesRegex:
             assert _parse_int(cell, "year") == expected
         assert (_parse_year_cell(cell, _parse_int)
                 == _parse_year_cell(cell, _parse_int_by_regex))
+
+
+def _parse_each_cell(rows, columns, make):
+    """``_parse_rows`` without memos, the reference: every cell parsed on its own."""
+    records, errors = [], []
+    for line, row in enumerate(rows, start=2):
+        try:
+            values = [text if parse is None else parse(text, name)
+                      for (name, parse), text in zip(columns, row)]
+            records.append(make(*values))
+        except ValueError as exc:
+            errors.append(f"t.csv:{line}: {exc}")
+    return errors or records
+
+
+def _odd_sum_refused(*values):
+    """A record check: refuses rows whose integers sum to an odd number."""
+    if sum(v for v in values if type(v) is int) % 2:
+        raise ValueError("integers sum to an odd number")
+    return values
+
+
+# Few distinct cells, so that most repeat down a column: good and bad integers
+# with signs and Unicode digits, floats, booleans and empty cells.
+MEMO_CELLS = st.sampled_from([
+    "", "0", "7", "+7", "-7", "-0", "+-1", "1_0", " 1", "\u0663\uff15", "-\U0001d7d3",
+    "\u00b2", "1.5", "-0.0", "0.0", "1e3", "1e400", "nan", "true", "false", "x",
+])
+MEMO_COLUMNS = [
+    ("text", None), ("int", _parse_int), ("count", _non_negative(_parse_int)),
+    ("opt_int", _optional(_parse_int)), ("number", _parse_float), ("flag", _parse_bool),
+    ("note", _optional()),
+]
+
+
+class TestMemoisedRowsMatchPerCellParsing:
+    @given(rows=st.lists(st.lists(MEMO_CELLS, min_size=len(MEMO_COLUMNS),
+                                  max_size=len(MEMO_COLUMNS)), max_size=30),
+           make=st.sampled_from([_tuple, _odd_sum_refused]),
+           limit=st.sampled_from([0, 2, 2**16]))
+    @settings(max_examples=300)
+    def test_same_records_and_errors(self, rows, make, limit):
+        """Same values (types and signed zeros too) and the same errors, a bad
+        cell giving one error on each line it appears on, at any memo bound."""
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerows(
+            [[name for name, _ in MEMO_COLUMNS], *rows])
+        with mock.patch.object(fileio, "_MEMO_LIMIT", limit):
+            try:
+                got = _parse_rows("t.csv", io.StringIO(buffer.getvalue(), newline=""),
+                                  MEMO_COLUMNS, make)
+            except FileFormatError as exc:
+                got = exc.errors
+        assert repr(got) == repr(_parse_each_cell(rows, MEMO_COLUMNS, make))

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leadindex import analysis, metrics
+from leadindex.analysis import trend
 from leadindex.credit import CreditScenario, a_index
 from leadindex.errors import UndefinedMetricError
 from leadindex.metrics import (
@@ -27,7 +29,13 @@ from leadindex.metrics import (
     score_investigator,
     team_output,
 )
-from leadindex.model import InvestigatorProfile, JournalYearIF, validate_dataset
+from leadindex.model import (
+    InvestigatorProfile,
+    JournalYearIF,
+    PublicationRecord,
+    validate_dataset,
+)
+from leadindex.toughness import weighted_if
 
 
 def paper(value, a, raw=None, pid="x"):
@@ -277,3 +285,52 @@ class TestScoreAll:
         cards = score_all(small_dataset, (2010, 2011), two_level_table)
         assert [c.pi_id for c in cards] == ["P1", "P2", "P3"]
         assert [c.scored for c in cards] == [True, True, False]
+
+
+def per_paper_valuer(dataset, table, scenario):
+    """The reference valuation: a_index and weighted_if called for every paper."""
+    tied = scenario is CreditScenario.TIED
+
+    def valued(pi_id, period):
+        papers = []
+        for rec in dataset.corresponding_papers(pi_id, period):
+            raw = dataset.resolved_if[rec.paper_id]
+            share = a_index(rec.author_count, rec.credit_position,
+                            rec.tie_span if tied else 1)
+            papers.append((rec.year, raw, weighted_if(table, raw), share))
+        return papers
+
+    return valued
+
+
+class TestMemoisedValuation:
+    @pytest.mark.parametrize("scenario", list(CreditScenario))
+    def test_score_all_and_trend_match_per_paper_valuation(
+            self, two_level_table, scenario, monkeypatch):
+        # JA and JB share each year's IF; JC sits on the table's cutoff 3.0.
+        rng = random.Random(9)
+        journals = [JournalYearIF(j, year, impact)
+                    for year in range(2008, 2013)
+                    for j, impact in (("JA", 1.5 + year % 2), ("JB", 1.5 + year % 2),
+                                      ("JC", 3.0), ("JD", 7.25))]
+        publications = []
+        for k in range(300):
+            n = rng.randint(1, 5)
+            i = rng.randint(1, n)
+            publications.append(PublicationRecord(
+                f"p{k}", f"P{rng.randrange(12)}", rng.randint(2008, 2012),
+                f"J{rng.choice('ABCD')}", n, i, rng.randint(1, n - i + 1),
+                rng.random() < 0.8))
+        profiles = [InvestigatorProfile(f"P{k}", "CN", 1 + k % 3) for k in range(13)]
+        dataset = validate_dataset(publications, journals, profiles)
+        period = (2009, 2012)
+
+        cards = score_all(dataset, period, two_level_table, scenario)
+        series = trend(dataset, two_level_table, period, scenario)
+        singles = [score_investigator(dataset, pid, period, two_level_table, scenario)
+                   for pid in dataset.pi_ids]
+        monkeypatch.setattr(metrics, "_valuer", per_paper_valuer)
+        monkeypatch.setattr(analysis, "_valuer", per_paper_valuer)
+        assert cards == singles == score_all(dataset, period, two_level_table, scenario)
+        assert series == trend(dataset, two_level_table, period, scenario)
+        assert sum(c.scored for c in cards) >= 10
