@@ -15,6 +15,7 @@ import logging
 import math
 import sys
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 
 from . import fileio, reports, synth
 from .analysis import Grouping, bin_by_time, cohort_report, funding_correlations, trend
@@ -24,6 +25,7 @@ from .metrics import score_all
 from .model import (
     TIERS,
     IFFallback,
+    ScoreCard,
     ValidatedDataset,
     aggregate_grants,
     apply_funding,
@@ -83,57 +85,7 @@ def _parse_exclude(value) -> tuple[float, ...]:
     return tuple(_parse_exclude_t(x) for x in value.split(",") if x != "")
 
 
-def _config_value(action: argparse.Action, value):
-    """Convert one config value as argparse converts the flag's text."""
-    if not isinstance(value, list):
-        value = str(value)
-    elif action.type is None:
-        raise ValueError(f"expected one value, got {value!r}")
-    if action.type is not None:
-        value = action.type(value)
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"invalid choice {value!r}")
-    return value
-
-
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Install the --config file's values as the subcommand's defaults.
-
-    Keys of other subcommands are ignored; unknown keys and values the flag
-    would reject are usage errors. Explicit flags still win on re-parse.
-    """
-    with open(args.config, encoding="utf-8") as f:
-        file_config = json.load(f)
-    if not isinstance(file_config, dict):
-        raise UsageError(f"{args.config}: config must be a JSON object")
-    subparsers = next(a.choices for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    options = {
-        name: {a.dest: a for a in p._actions if a.dest not in ("help", "config")}
-        for name, p in subparsers.items()
-    }
-    unknown = set(file_config).difference(*options.values())
-    if unknown:
-        raise UsageError(f"{args.config}: unknown config keys: {', '.join(sorted(unknown))}")
-    own = options[args.command]
-    values = {}
-    for key, value in file_config.items():
-        if key in own and value is not None:
-            try:
-                values[key] = _config_value(own[key], value)
-            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-                raise UsageError(f"{args.config}: config key {key}: {exc}") from None
-    subparsers[args.command].set_defaults(**values)
-
-
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise UsageError(f"--{name} is required (flag or config file)")
-
-
 def _load_dataset(args: argparse.Namespace) -> ValidatedDataset:
-    _require(args, "publications", "journals", "profiles")
     publications = fileio.read_publications(args.publications)
     journals = fileio.read_journals(args.journals)
     profiles = fileio.read_profiles(args.profiles)
@@ -150,11 +102,8 @@ def _load_dataset(args: argparse.Namespace) -> ValidatedDataset:
     return dataset
 
 
-def _load(args: argparse.Namespace, *required: str) -> tuple[ValidatedDataset, ToughnessTable]:
-    """Refuse missing options before any file is read, then load dataset and table."""
-    _require(args, *required)
-    if args.table is None and args.corpus is None:
-        raise UsageError("need --table or --corpus (flag or config file)")
+def _load(args: argparse.Namespace) -> tuple[ValidatedDataset, ToughnessTable]:
+    """The dataset, and the toughness table read from --table or built from --corpus."""
     dataset = _load_dataset(args)
     if args.table is None:
         return dataset, _build_table(args)
@@ -183,43 +132,36 @@ def _build_table(args: argparse.Namespace) -> ToughnessTable:
     return table
 
 
-def _score(args: argparse.Namespace, dataset: ValidatedDataset, table: ToughnessTable):
+def _scored(args: argparse.Namespace) -> tuple[ValidatedDataset, list[ScoreCard]]:
+    """Load, then score every investigator over --period."""
+    dataset, table = _load(args)
     cards = score_all(dataset, args.period, table, args.scenario)
     scored = sum(1 for c in cards if c.scored)
     log.info("scored %d of %d investigators (%d unscored)",
              scored, len(cards), len(cards) - scored)
-    return cards
+    return dataset, cards
 
 
-def _log_written(paths) -> None:
-    for path in paths:
-        log.info("wrote %s", path)
+# Each handler runs one subcommand on checked options and returns the paths it wrote.
 
-
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> Iterable[Path]:
     _load_dataset(args)
     log.info("validation passed")
-    return 0
+    return ()
 
 
-def cmd_toughness_build(args) -> int:
-    _require(args, "corpus", "out")
-    table = _build_table(args)
-    fileio.write_toughness_table(args.out, table)
-    log.info("wrote %s", args.out)
-    return 0
+def cmd_toughness_build(args) -> Iterable[Path]:
+    fileio.write_toughness_table(args.out, _build_table(args))
+    return (args.out,)
 
 
-def cmd_score(args) -> int:
-    dataset, table = _load(args, "period")
-    cards = _score(args, dataset, table)
-    _log_written(reports.emit_scorecards(cards, args.out_dir, args.format))
-    return 0
+def cmd_score(args) -> Iterable[Path]:
+    _, cards = _scored(args)
+    return reports.emit_scorecards(cards, args.out_dir, args.format)
 
 
-def cmd_report_cohort(args) -> int:
-    dataset, table = _load(args, "period", "grouping")
-    cards = _score(args, dataset, table)
+def cmd_report_cohort(args) -> Iterable[Path]:
+    dataset, cards = _scored(args)
     report = cohort_report(
         dataset, cards, args.grouping,
         reference_group=args.reference_group,
@@ -228,46 +170,40 @@ def cmd_report_cohort(args) -> int:
     log.info("cohort: %d group(s); excluded %d unscored, %d without %s",
              len(report.groups), report.unscored, report.unknown_group,
              args.grouping.value)
-    _log_written(reports.emit_cohort(report, args.out_dir, args.format))
-    return 0
+    return reports.emit_cohort(report, args.out_dir, args.format)
 
 
-def cmd_report_trend(args) -> int:
-    dataset, table = _load(args, "span")
+def cmd_report_trend(args) -> Iterable[Path]:
+    dataset, table = _load(args)
     series = trend(dataset, table, args.span, args.scenario,
                    country=args.country, tier=args.tier)
     covered = sum(1 for p in series.points if p.n)
     log.info("trend: %d of %d year(s) with scored investigators",
              covered, len(series.points))
-    _log_written(reports.emit_trend(series, args.out_dir, args.format))
-    return 0
+    return reports.emit_trend(series, args.out_dir, args.format)
 
 
-def cmd_report_bins(args) -> int:
-    dataset, table = _load(args, "period")
-    cards = _score(args, dataset, table)
+def cmd_report_bins(args) -> Iterable[Path]:
+    _, cards = _scored(args)
     samples = [(c.t_equiv, c.leadership) for c in cards if c.scored]
     series = bin_by_time(samples, step=args.step, max_t=args.max_t,
                          exclude=args.exclude_t)
     log.info("bins: %d bin(s), %d sample(s) excluded",
              len(series.bins), len(series.excluded))
-    _log_written(reports.emit_bins(series, args.out_dir, args.format))
-    return 0
+    return reports.emit_bins(series, args.out_dir, args.format)
 
 
-def cmd_correlate(args) -> int:
-    dataset, table = _load(args, "period")
-    cards = _score(args, dataset, table)
+def cmd_correlate(args) -> Iterable[Path]:
+    dataset, cards = _scored(args)
     if args.country is not None:
         cards = [c for c in cards if dataset.profiles[c.pi_id].country == args.country]
     rows, samples = funding_correlations(dataset, cards)
     log.info("correlations: %d funded investigator(s) in %d group row(s)",
              len(samples), len(rows))
-    _log_written(reports.emit_correlations(rows, samples, args.out_dir, args.format))
-    return 0
+    return reports.emit_correlations(rows, samples, args.out_dir, args.format)
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> Iterable[Path]:
     synth_config = synth.SynthConfig(
         seed=args.seed,
         n_pis=args.pis,
@@ -275,150 +211,187 @@ def cmd_synth(args) -> int:
         years=args.years,
         papers_per_pi_mean=args.papers_mean,
     )
-    paths = synth.synth_corpus(synth_config, args.out_dir)
-    _log_written(paths.values())
-    return 0
+    return synth.synth_corpus(synth_config, args.out_dir).values()
 
 
-def _add_config_option(parser) -> None:
-    parser.add_argument("--config", type=Path, default=None,
-                        help="JSON config file; explicit flags win")
+# Every option but --config, declared once as (flag, add_argument keywords)
+# and grouped by what it controls; each group lists its flags in --help order.
+_OPTIONS: dict[str, tuple[tuple[str, dict], ...]] = {
+    "dataset": (
+        ("--publications", dict(type=Path)),
+        ("--journals", dict(type=Path)),
+        ("--profiles", dict(type=Path)),
+        ("--grants", dict(type=Path)),
+        ("--if-fallback", dict(default=IFFallback.OFF, type=IFFallback,
+                               choices=list(IFFallback), metavar="{off,nearest-prior-year}",
+                               help="impact-factor year fallback policy (default off)")),
+    ),
+    "table": (("--table", dict(type=Path, help="prebuilt toughness table file")),),
+    "corpus": (
+        ("--corpus", dict(type=Path, help="toughness reference corpus CSV")),
+        ("--levels", dict(type=_parse_levels, default=10,
+                          help="toughness level count (default 10)")),
+        ("--divisor-mode", dict(default=DivisorMode.GEOMETRIC_SUM, type=DivisorMode,
+                                choices=list(DivisorMode), metavar="{geometric_sum,half_pow}")),
+    ),
+    "out": (("--out", dict(type=Path, help="table file to write")),),
+    "period": (
+        ("--period", dict(type=lambda s: _parse_span(s, "period"),
+                          help="scoring years, START:END inclusive")),
+    ),
+    "span": (
+        ("--span", dict(type=lambda s: _parse_span(s, "span"),
+                        help="years, START:END inclusive")),
+    ),
+    "scenario": (
+        ("--scenario", dict(default=CreditScenario.RANKED, type=CreditScenario,
+                            choices=list(CreditScenario), metavar="{ranked,tied}",
+                            help="credit scenario (default ranked)")),
+    ),
+    "cohort": (
+        ("--grouping", dict(type=Grouping, choices=list(Grouping),
+                            metavar="{class,gender,age_band,rank,country}")),
+        ("--reference-group", dict(help="group label compared against (enables marks)")),
+        ("--age-reference-year", dict(type=int, help="year ages are computed against "
+                                                     "(default: period start)")),
+    ),
+    "country": (("--country", dict(help="restrict to one country")),),
+    "tier": (("--tier", dict(type=int, choices=TIERS, help="restrict to one class")),),
+    "bins": (
+        ("--step", dict(type=_parse_step, default=0.5, help="bin width (default 0.5)")),
+        ("--max-t", dict(type=_parse_max_t, help="exclude samples with T above this")),
+        ("--exclude-t", dict(default=(), type=_parse_exclude,
+                             help="comma-separated T values to exclude")),
+    ),
+    "synth": (
+        ("--seed", dict(type=int, default=42)),
+        ("--pis", dict(type=int, default=100)),
+        ("--journal-count", dict(type=int, default=40)),
+        ("--years", dict(type=lambda s: _parse_span(s, "years"), default=(2008, 2013),
+                         help="publication years, START:END inclusive")),
+        ("--papers-mean", dict(type=float, default=8.0)),
+    ),
+    "out-dir": (("--out-dir", dict(type=Path, default=Path("."))),),
+    "format": (("--format", dict(choices=["csv", "json"], default="csv")),),
+}
+
+_CONFIG = ("--config", dict(type=Path, help="JSON config file; explicit flags win"))
 
 
-def _add_dataset_options(parser) -> None:
-    parser.add_argument("--publications", type=Path, default=None)
-    parser.add_argument("--journals", type=Path, default=None)
-    parser.add_argument("--profiles", type=Path, default=None)
-    parser.add_argument("--grants", type=Path, default=None)
-    parser.add_argument("--if-fallback", dest="if_fallback", default=IFFallback.OFF,
-                        type=IFFallback, choices=list(IFFallback),
-                        metavar="{off,nearest-prior-year}",
-                        help="impact-factor year fallback policy (default off)")
+class Command(NamedTuple):
+    help: str
+    groups: tuple[str, ...]  # keys of _OPTIONS, in --help order; --config follows
+    # Options that must be set once the config file is applied, checked in
+    # order before any file is read; a tuple names options any one of which will do.
+    required: tuple[str | tuple[str, ...], ...]
+    handler: Callable[[argparse.Namespace], Iterable[Path]]
 
 
-def _add_table_options(parser) -> None:
-    parser.add_argument("--table", type=Path, default=None,
-                        help="prebuilt toughness table file")
-    _add_corpus_options(parser)
+_INPUTS = ("dataset", "table", "corpus")
+_REPORT = ("out-dir", "format")
+_DATASET = ("publications", "journals", "profiles")
+_LOADED = (("table", "corpus"), *_DATASET)  # what _load reads
+
+_COMMANDS: dict[str, Command] = {
+    "validate": Command("cross-check a dataset",
+                        ("dataset",), _DATASET, cmd_validate),
+    "toughness-build": Command("build a toughness table from a corpus",
+                               ("corpus", "out"), ("corpus", "out"), cmd_toughness_build),
+    "score": Command("score every investigator over a period",
+                     (*_INPUTS, "period", "scenario", *_REPORT),
+                     ("period", *_LOADED), cmd_score),
+    "report-cohort": Command("per-group metric means with significance",
+                             (*_INPUTS, "period", "scenario", "cohort", *_REPORT),
+                             ("period", "grouping", *_LOADED), cmd_report_cohort),
+    "report-trend": Command("annual metric means for a cohort",
+                            (*_INPUTS, "span", "scenario", "country", "tier", *_REPORT),
+                            ("span", *_LOADED), cmd_report_trend),
+    "report-bins": Command("mean leadership by equivalent-time bin",
+                           (*_INPUTS, "period", "scenario", "bins", *_REPORT),
+                           ("period", *_LOADED), cmd_report_bins),
+    "correlate": Command("leadership vs funding correlations",
+                         (*_INPUTS, "period", "scenario", "country", *_REPORT),
+                         ("period", *_LOADED), cmd_correlate),
+    "synth": Command("generate a deterministic synthetic dataset",
+                     ("synth", "out-dir"), (), cmd_synth),
+}
 
 
-def _add_corpus_options(parser) -> None:
-    parser.add_argument("--corpus", type=Path, default=None,
-                        help="toughness reference corpus CSV")
-    parser.add_argument("--levels", type=_parse_levels, default=10,
-                        help="toughness level count (default 10)")
-    parser.add_argument("--divisor-mode", dest="divisor_mode",
-                        default=DivisorMode.GEOMETRIC_SUM,
-                        type=DivisorMode, choices=list(DivisorMode),
-                        metavar="{geometric_sum,half_pow}")
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-def _add_scoring_options(parser) -> None:
-    parser.add_argument("--period", type=lambda s: _parse_span(s, "period"),
-                        default=None, help="scoring years, START:END inclusive")
-    parser.add_argument("--scenario", default=CreditScenario.RANKED,
-                        type=CreditScenario, choices=list(CreditScenario),
-                        metavar="{ranked,tied}", help="credit scenario (default ranked)")
+def _options(command: Command) -> list[tuple[str, dict]]:
+    return [option for group in command.groups for option in _OPTIONS[group]]
 
 
-def _add_output_options(parser) -> None:
-    parser.add_argument("--out-dir", dest="out_dir", type=Path, default=Path("."))
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The leadindex parser, one subparser per _COMMANDS row.
 
-
-def build_parser() -> argparse.ArgumentParser:
+    ``defaults`` (converted config-file values) replace the declared
+    defaults of the options they name; explicit flags still win.
+    """
     parser = argparse.ArgumentParser(
         prog="leadindex",
         description="Leadership index scoring and cohort analysis for "
                     "publication datasets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="cross-check a dataset")
-    _add_dataset_options(p)
-    _add_config_option(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("toughness-build", help="build a toughness table from a corpus")
-    _add_corpus_options(p)
-    p.add_argument("--out", type=Path, default=None, help="table file to write")
-    _add_config_option(p)
-    p.set_defaults(func=cmd_toughness_build)
-
-    p = sub.add_parser("score", help="score every investigator over a period")
-    _add_dataset_options(p)
-    _add_table_options(p)
-    _add_scoring_options(p)
-    _add_output_options(p)
-    _add_config_option(p)
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("report-cohort", help="per-group metric means with significance")
-    _add_dataset_options(p)
-    _add_table_options(p)
-    _add_scoring_options(p)
-    p.add_argument("--grouping", default=None, type=Grouping, choices=list(Grouping),
-                   metavar="{class,gender,age_band,rank,country}")
-    p.add_argument("--reference-group", dest="reference_group", default=None,
-                   help="group label compared against (enables marks)")
-    p.add_argument("--age-reference-year", dest="age_reference_year", type=int,
-                   default=None, help="year ages are computed against "
-                                      "(default: period start)")
-    _add_output_options(p)
-    _add_config_option(p)
-    p.set_defaults(func=cmd_report_cohort)
-
-    p = sub.add_parser("report-trend", help="annual metric means for a cohort")
-    _add_dataset_options(p)
-    _add_table_options(p)
-    p.add_argument("--span", type=lambda s: _parse_span(s, "span"), default=None,
-                   help="years, START:END inclusive")
-    p.add_argument("--scenario", default=CreditScenario.RANKED,
-                   type=CreditScenario, choices=list(CreditScenario),
-                   metavar="{ranked,tied}")
-    p.add_argument("--country", default=None)
-    p.add_argument("--tier", type=int, choices=TIERS, default=None,
-                   help="restrict to one class")
-    _add_output_options(p)
-    _add_config_option(p)
-    p.set_defaults(func=cmd_report_trend)
-
-    p = sub.add_parser("report-bins", help="mean leadership by equivalent-time bin")
-    _add_dataset_options(p)
-    _add_table_options(p)
-    _add_scoring_options(p)
-    p.add_argument("--step", type=_parse_step, default=0.5, help="bin width (default 0.5)")
-    p.add_argument("--max-t", dest="max_t", type=_parse_max_t, default=None,
-                   help="exclude samples with T above this")
-    p.add_argument("--exclude-t", dest="exclude_t", default=(),
-                   type=_parse_exclude,
-                   help="comma-separated T values to exclude")
-    _add_output_options(p)
-    _add_config_option(p)
-    p.set_defaults(func=cmd_report_bins)
-
-    p = sub.add_parser("correlate", help="leadership vs funding correlations")
-    _add_dataset_options(p)
-    _add_table_options(p)
-    _add_scoring_options(p)
-    p.add_argument("--country", default=None,
-                   help="restrict to one country (one currency)")
-    _add_output_options(p)
-    _add_config_option(p)
-    p.set_defaults(func=cmd_correlate)
-
-    p = sub.add_parser("synth", help="generate a deterministic synthetic dataset")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--pis", type=int, default=100)
-    p.add_argument("--journal-count", dest="journal_count", type=int, default=40)
-    p.add_argument("--years", type=lambda s: _parse_span(s, "years"), default=(2008, 2013),
-                   help="publication years, START:END inclusive")
-    p.add_argument("--papers-mean", dest="papers_mean", type=float, default=8.0)
-    p.add_argument("--out-dir", dest="out_dir", type=Path, default=Path("."))
-    _add_config_option(p)
-    p.set_defaults(func=cmd_synth)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, spec in (*_options(command), _CONFIG):
+            p.add_argument(flag, **spec)
+        p.set_defaults(**(defaults or {}))
     return parser
+
+
+def _config_value(spec: dict, value):
+    """Convert one config value as argparse converts the flag's text."""
+    convert, choices = spec.get("type"), spec.get("choices")
+    if not isinstance(value, list):
+        value = str(value)
+    elif convert is None:
+        raise ValueError(f"expected one value, got {value!r}")
+    if convert is not None:
+        value = convert(value)
+    if choices is not None and value not in choices:
+        raise ValueError(f"invalid choice {value!r}")
+    return value
+
+
+def _read_config(args: argparse.Namespace) -> dict:
+    """The --config file's values for this subcommand's options, converted.
+
+    Keys of other subcommands are ignored; unknown keys and values the flag
+    would reject are usage errors.
+    """
+    with open(args.config, encoding="utf-8") as f:
+        file_config = json.load(f)
+    if not isinstance(file_config, dict):
+        raise UsageError(f"{args.config}: config must be a JSON object")
+    unknown = set(file_config).difference(
+        _dest(flag) for group in _OPTIONS.values() for flag, _ in group)
+    if unknown:
+        raise UsageError(f"{args.config}: unknown config keys: {', '.join(sorted(unknown))}")
+    own = {_dest(flag): spec for flag, spec in _options(_COMMANDS[args.command])}
+    values = {}
+    for key, value in file_config.items():
+        if key in own and value is not None:
+            try:
+                values[key] = _config_value(own[key], value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError(f"{args.config}: config key {key}: {exc}") from None
+    return values
+
+
+def _require(args: argparse.Namespace, required) -> None:
+    for need in required:
+        if isinstance(need, str):
+            if getattr(args, need) is None:
+                raise UsageError(f"--{need} is required (flag or config file)")
+        elif all(getattr(args, name) is None for name in need):
+            either = " or ".join(f"--{name}" for name in need)
+            raise UsageError(f"need {either} (flag or config file)")
 
 
 def main(argv=None) -> int:
@@ -437,13 +410,15 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
         if args.config is not None:
-            _apply_config(parser, args)
-            args = parser.parse_args(argv)
-        return args.func(args)
+            args = build_parser(_read_config(args)).parse_args(argv)
+        _require(args, command.required)
+        for path in command.handler(args):
+            log.info("wrote %s", path)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

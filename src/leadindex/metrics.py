@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .credit import CreditScenario, a_index
+from .credit import CreditScenario, scenario_share
 from .errors import UndefinedMetricError
 from .model import ScoreCard, ValidatedDataset
 from .toughness import ToughnessTable, weighted_if
@@ -120,12 +120,11 @@ def _valuer(dataset: ValidatedDataset, table: ToughnessTable, scenario: CreditSc
 
     ``valued`` returns the (year, IF, weighted IF, credit share) of each of
     the investigator's corresponding papers in the period. It computes
-    weighted_if once per distinct IF and a_index once per distinct
+    weighted_if once per distinct IF and the credit share once per distinct
     (author_count, position, tie span), and keeps both caches for as long
     as it lives: one scoring call.
     """
     resolved_if = dataset.resolved_if
-    tied = scenario is CreditScenario.TIED
     weighted: dict[float, float] = {}
     shares: dict[tuple[int, int, int], float] = {}
 
@@ -139,10 +138,10 @@ def _valuer(dataset: ValidatedDataset, table: ToughnessTable, scenario: CreditSc
             value = weighted.get(raw)
             if value is None:
                 value = weighted[raw] = weighted_if(table, raw)
-            key = (n, i, s if tied else 1)
+            key = (n, i, s)
             share = shares.get(key)
             if share is None:
-                share = shares[key] = a_index(*key)
+                share = shares[key] = scenario_share(n, i, s, scenario)
             papers.append((year, raw, value, share))
         return papers
 

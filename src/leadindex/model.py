@@ -280,15 +280,15 @@ def validate_dataset(
             profile_map[p.pi_id] = p
 
     any_prior_year = fallback is IFFallback.NEAREST_PRIOR_YEAR
-    resolved: dict[str, float] = {}
-    seen_papers: set[str] = set()
+    # Every paper_id seen so far, with None where its IF did not resolve;
+    # that case is an error, so no None survives validation.
+    resolved: dict[str, float | None] = {}
     by_pi: dict[str, list[PublicationRecord]] = {}
     non_corresponding = 0
     for rec in publications:
-        if rec.paper_id in seen_papers:
+        if rec.paper_id in resolved:
             errors.append(f"duplicate paper_id {rec.paper_id}")
             continue
-        seen_papers.add(rec.paper_id)
         if rec.pi_id not in profile_map:
             errors.append(f"paper {rec.paper_id}: unknown pi_id {rec.pi_id}")
         # years[i - 1] is the latest entry not after rec.year.
@@ -297,6 +297,7 @@ def validate_dataset(
         if i and (any_prior_year or years[i - 1] == rec.year):
             resolved[rec.paper_id] = ifs[i - 1]
         else:
+            resolved[rec.paper_id] = None
             errors.append(
                 f"paper {rec.paper_id}: no impact factor for {rec.journal} {rec.year}"
             )

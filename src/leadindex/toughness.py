@@ -11,6 +11,7 @@ papers land is worth proportionally more.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -130,11 +131,8 @@ def build_table(
     level_sizes = [0] * level_count
     position = 0  # papers consumed so far
     for impact_factor in sorted(by_if, reverse=True):
-        level = level_count - 1
-        for i, bound in enumerate(boundaries):
-            if position < bound:
-                level = i
-                break
+        # Boundaries strictly increase (base >= 1); past the last, the bottom level.
+        level = bisect_right(boundaries, position)
         group = by_if[impact_factor]
         level_sizes[level] += group
         level_min[level] = impact_factor  # descending walk: last write is the min

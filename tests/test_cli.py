@@ -403,6 +403,99 @@ class TestConfigFile:
             assert (from_config / name).read_bytes() == (from_flags / name).read_bytes()
 
 
+class TestCommandTable:
+    # Every flag of each subcommand, in --help order.
+    FLAGS = {
+        "validate": "--publications --journals --profiles --grants --if-fallback --config",
+        "toughness-build": "--corpus --levels --divisor-mode --out --config",
+        "score": "--publications --journals --profiles --grants --if-fallback --table "
+                 "--corpus --levels --divisor-mode --period --scenario --out-dir --format "
+                 "--config",
+        "report-cohort": "--publications --journals --profiles --grants --if-fallback "
+                         "--table --corpus --levels --divisor-mode --period --scenario "
+                         "--grouping --reference-group --age-reference-year --out-dir "
+                         "--format --config",
+        "report-trend": "--publications --journals --profiles --grants --if-fallback "
+                        "--table --corpus --levels --divisor-mode --span --scenario "
+                        "--country --tier --out-dir --format --config",
+        "report-bins": "--publications --journals --profiles --grants --if-fallback "
+                       "--table --corpus --levels --divisor-mode --period --scenario "
+                       "--step --max-t --exclude-t --out-dir --format --config",
+        "correlate": "--publications --journals --profiles --grants --if-fallback "
+                     "--table --corpus --levels --divisor-mode --period --scenario "
+                     "--country --out-dir --format --config",
+        "synth": "--seed --pis --journal-count --years --papers-mean --out-dir --config",
+    }
+
+    def test_subcommands_in_order(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        listed = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1)
+        assert listed.split(",") == list(self.FLAGS)
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_flags_of_each_subcommand(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+        assert flags == self.FLAGS[command].split()
+
+    @pytest.mark.parametrize("args, missing", [
+        (["validate"], "--publications is required"),
+        (["validate", "--publications", "p.csv", "--journals", "j.csv"],
+         "--profiles is required"),
+        (["toughness-build"], "--corpus is required"),
+        (["toughness-build", "--corpus", "c.csv"], "--out is required"),
+        (["score", "--corpus", "c.csv"], "--period is required"),
+        (["report-cohort", "--period", "2008:2013"], "--grouping is required"),
+        (["report-trend"], "--span is required"),
+        (["report-bins", "--period", "2008:2013", "--publications", "p.csv"],
+         "need --table or --corpus"),
+        (["correlate", "--period", "2008:2013", "--table", "t.csv"],
+         "--publications is required"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_missing_options_named_in_order_before_any_file_is_read(
+            self, tmp_path, monkeypatch, capsys, args, missing):
+        monkeypatch.chdir(tmp_path)  # no input file exists; reports would land here
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {missing} (flag or config file)\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_one_config_file_serves_several_subcommands(self, dataset_dir, tmp_path):
+        """Each subcommand takes its own keys from one file and ignores the others'."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "publications": str(dataset_dir / "publications.csv"),
+            "journals": str(dataset_dir / "journals.csv"),
+            "profiles": str(dataset_dir / "profiles.csv"),
+            "corpus": str(dataset_dir / "toughness_corpus.csv"),
+            "period": "2008:2013",
+            "span": [2009, 2012],
+            "grouping": "class",
+            "step": 0.25,
+            "levels": 8,
+            "out": str(tmp_path / "table.csv"),
+            "out_dir": str(tmp_path / "out"),
+        }))
+        written = {
+            "validate": None,
+            "score": "scorecards.csv",
+            "report-trend": "trend.csv",
+            "report-cohort": "cohort_class.csv",
+            "report-bins": "bins.csv",
+            "toughness-build": None,
+        }
+        for command, name in written.items():
+            assert main([command, "--config", str(config)]) == 0, command
+            if name is not None:
+                assert (tmp_path / "out" / name).exists(), command
+        assert (tmp_path / "table.csv").exists()
+        trend_rows = list(csv.DictReader((tmp_path / "out" / "trend.csv").open()))
+        assert [r["year"] for r in trend_rows] == ["2009", "2010", "2011", "2012"]
+
+
 class TestReports:
     def test_cohort_partitions_scored_investigators(self, dataset_dir, tmp_path):
         code = main(["report-cohort", *dataset_flags(dataset_dir),

@@ -198,6 +198,19 @@ class TestValidateDataset:
         assert any("unknown pi_id P9" in m for m in messages)
         assert any("no impact factor for JB 2011" in m for m in messages)
 
+    def test_duplicate_of_paper_without_impact_factor(self):
+        """A paper whose IF does not resolve still counts as seen."""
+        publications = [
+            PublicationRecord("p1", "P1", 2011, "JB", 1, 1),  # no IF entry
+            PublicationRecord("p1", "P1", 2010, "JA", 1, 1),  # duplicate id
+        ]
+        journals = [JournalYearIF("JA", 2010, 2.0)]
+        profiles = [InvestigatorProfile("P1", "CN", 1)]
+        with pytest.raises(DataValidationError) as err:
+            validate_dataset(publications, journals, profiles)
+        assert err.value.errors == ["duplicate paper_id p1",
+                                    "paper p1: no impact factor for JB 2011"]
+
     def test_error_set_independent_of_record_order(self):
         publications = [
             PublicationRecord("p1", "P9", 2010, "JA", 1, 1),
