@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -93,7 +94,7 @@ def _load_dataset(args: argparse.Namespace) -> ValidatedDataset:
         totals = aggregate_grants(fileio.read_grants(args.grants))
         profiles = apply_funding(profiles, totals)
     dataset = validate_dataset(publications, journals, profiles, args.if_fallback)
-    corresponding = sum(1 for r in dataset.publications if r.is_corresponding)
+    corresponding = sum(map(itemgetter(7), dataset.publications))  # is_corresponding
     log.info("publications: %d total, %d corresponding-author",
              len(dataset.publications), corresponding)
     log.info("profiles: %d investigators", len(dataset.profiles))

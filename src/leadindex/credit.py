@@ -13,20 +13,17 @@ arithmetic mean of the tied positions' shares.
 from __future__ import annotations
 
 import enum
-import threading
 
 # Largest author list a publication record may name; also the default
 # search limit of group_size_for_credit.
 MAX_AUTHOR_COUNT = 100_000
 
-# Prefix cache of harmonic numbers, extended lazily under a lock so that
-# callers on concurrent threads never observe a partially grown list.
+# Prefix cache of harmonic numbers, extended lazily as larger k are asked for.
 # _HARMONIC[k] holds H_k accumulated with Neumaier compensation, which keeps
 # tail differences H_n - H_{i-1} accurate to ~1 ulp out to n ~ 10^4 and beyond.
 _HARMONIC: list[float] = [0.0]
 _h_sum = 0.0
 _h_comp = 0.0
-_h_lock = threading.Lock()
 
 
 class CreditScenario(enum.Enum):
@@ -46,16 +43,15 @@ def _harmonic(k: int) -> float:
     if k < len(_HARMONIC):
         return _HARMONIC[k]
     global _h_sum, _h_comp
-    with _h_lock:
-        while len(_HARMONIC) <= k:
-            term = 1.0 / len(_HARMONIC)
-            t = _h_sum + term
-            if abs(_h_sum) >= term:
-                _h_comp += (_h_sum - t) + term
-            else:
-                _h_comp += (term - t) + _h_sum
-            _h_sum = t
-            _HARMONIC.append(_h_sum + _h_comp)
+    while len(_HARMONIC) <= k:
+        term = 1.0 / len(_HARMONIC)
+        t = _h_sum + term
+        if abs(_h_sum) >= term:
+            _h_comp += (_h_sum - t) + term
+        else:
+            _h_comp += (term - t) + _h_sum
+        _h_sum = t
+        _HARMONIC.append(_h_sum + _h_comp)
     return _HARMONIC[k]
 
 

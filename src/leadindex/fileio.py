@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from itertools import chain, islice, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Sequence, Union
@@ -34,10 +35,13 @@ _TABLE_VERSION = 1
 
 _FLOAT_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 
+# Data lines per chunk of _parse_rows' columnar path.
+_CHUNK = 2048
 # Most entries per column memo in _parse_rows. Years, journals, author
-# counts and impact factors repeat down a column and fit many times over;
-# a column of unique cells (paper_id) stops storing at the bound, so it
-# costs one failed lookup per row rather than one entry per row.
+# counts and impact factors repeat down a column and fit many times over.
+# The columnar path stores nothing for a column that is mostly unique
+# within a chunk (paper_id, grant amounts); the row loop stores until the
+# bound, then costs one failed lookup per row rather than one entry per row.
 _MEMO_LIMIT = 2**16
 _MISS = object()  # memo lookups can hit a None, which _optional yields
 
@@ -148,10 +152,18 @@ def _parse_rows(path: Pathish, f, columns, make, header_line: int = 1) -> list:
     Every bad row is reported as ``path:line: ...``, at the line the row
     starts on, naming its first bad column from the left; all of them are
     raised together. ``header_line`` is the file line ``f`` starts at.
+
+    Rows are read ``_CHUNK`` lines at a time and parsed a column at a time
+    while each chunk is plain CSV and error-free. From the first chunk that
+    is not, the rest of the file goes through the row loop, which is the one
+    path that reads quoted cells and reports errors.
     """
     header = [name for name, _ in columns]
     reader = csv.reader(f)
-    first = next(reader, None)
+    try:
+        first = next(reader, None)
+    except csv.Error as exc:
+        raise FileFormatError([f"{path}:{header_line}: {exc}"]) from None
     if first is None:
         raise FileFormatError([f"{path}: missing header {','.join(header)}"])
     if first != header:
@@ -163,29 +175,102 @@ def _parse_rows(path: Pathish, f, columns, make, header_line: int = 1) -> list:
     # before it is stored, so it is reported on every line it appears on.
     memos = [(i, name, parse, {}) for i, (name, parse) in enumerate(columns)]
     records = []
-    errors = []
     start = reader.line_num + header_line  # file line the next row starts on
-    for row in reader:
-        line, start = start, reader.line_num + header_line
-        if len(row) != width:
-            errors.append(f"{path}:{line}: expected {width} fields, got {len(row)}")
-            continue
-        try:
-            # Cells are converted in place, leftmost first.
-            for i, name, parse, memo in memos:
-                text = row[i]
-                value = memo.get(text, _MISS)
-                if value is _MISS:
-                    value = text if parse is None else parse(text, name)
-                    if len(memo) < _MEMO_LIMIT:
-                        memo[text] = value
-                row[i] = value
-            records.append(make(*row))
-        except ValueError as exc:  # _RowError or model invariant violation
-            errors.append(f"{path}:{line}: {exc}")
+    lines = []
+    # A blank line is a row of no cells to csv.reader, which only its comma
+    # count tells apart from a row of one empty cell.
+    while width > 1:
+        lines = list(islice(f, _CHUNK))
+        chunk = _columnar(lines, memos, make) if lines else None
+        if chunk is None:
+            break
+        records += chunk
+        start += len(lines)
+
+    errors = []
+    reader = csv.reader(chain(lines, f))
+    first_line = start
+    try:
+        for row in reader:
+            line, start = start, reader.line_num + first_line
+            if len(row) != width:
+                errors.append(f"{path}:{line}: expected {width} fields, got {len(row)}")
+                continue
+            try:
+                # Cells are converted in place, leftmost first.
+                for i, name, parse, memo in memos:
+                    text = row[i]
+                    value = memo.get(text, _MISS)
+                    if value is _MISS:
+                        value = text if parse is None else parse(text, name)
+                        if len(memo) < _MEMO_LIMIT:
+                            memo[text] = value
+                    row[i] = value
+                records.append(make(*row))
+            except ValueError as exc:  # _RowError or model invariant violation
+                errors.append(f"{path}:{line}: {exc}")
+    except csv.Error as exc:  # such as a cell over csv.field_size_limit()
+        # The reader stops inside the row, so no later row can be told apart.
+        errors.append(f"{path}:{start}: {exc}")
     if errors:
         raise FileFormatError(errors)
     return records
+
+
+def _columnar(lines: list, memos, make) -> list | None:
+    """The records of ``lines``, one row per line, parsed a column at a time.
+
+    None when csv.reader might read the lines otherwise (a quote, a lone
+    carriage return, a line of the wrong field count, a cell that may pass
+    csv.field_size_limit(), a NUL, which it refuses before Python 3.11) or
+    when a cell or a record check fails: the row loop then reads them, and
+    reports what is wrong.
+    """
+    width, n = len(memos), len(lines)
+    text = ",".join(lines)
+    if ('"' in text or "\0" in text
+            or ("\r" in text and text.count("\r") != text.count("\r\n"))
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    cells = text.split(",")
+    if len(cells) != n * width:
+        return None
+    # A line's break ends its last cell. With n * width cells in all, every
+    # line holds width of them if and only if all breaks end a row's last cell.
+    ends = "".join(cells[width - 1::width])
+    if ends.count("\n") != text.count("\n"):
+        return None
+    cells[width - 1::width] = ends.replace("\r\n", "\n").split("\n")[:n]
+    cols = []
+    try:
+        for i, name, parse, memo in memos:
+            col = cells[i::width]
+            try:  # Through the memo even for text, so repeated cells share one string.
+                col = list(map(memo.__getitem__, col))
+            except KeyError:  # a cell not seen before
+                distinct = set(col)
+                if 8 * len(distinct) > 7 * n:
+                    # Fewer than one cell in eight repeats in the chunk (paper_id,
+                    # grant amounts): a memo would be hit by few rows.
+                    if parse is not None:
+                        col = list(map(parse, col, repeat(name)))
+                else:
+                    new = distinct.difference(memo)
+                    if len(memo) + len(new) > _MEMO_LIMIT:  # a lookup for this chunk alone
+                        memo = {cell: memo[cell] for cell in distinct - new}
+                    memo.update({cell: cell if parse is None else parse(cell, name)
+                                 for cell in new})
+                    col = list(map(memo.__getitem__, col))
+            cols.append(col)
+        columns_valid = getattr(make, "_columns_valid", None)
+        if columns_valid is None:
+            return list(map(make, *cols))
+        if not columns_valid(*cols):
+            return None
+    except ValueError:  # _RowError or model invariant violation
+        return None
+    # Every row passed make's checks, so the records skip __new__.
+    return list(map(tuple.__new__, repeat(make), zip(*cols)))
 
 
 def _read_csv(path: Pathish, columns, make) -> list:

@@ -124,17 +124,15 @@ def _valuer(dataset: ValidatedDataset, table: ToughnessTable, scenario: CreditSc
     (author_count, position, tie span), and keeps both caches for as long
     as it lives: one scoring call.
     """
-    resolved_if = dataset.resolved_if
     weighted: dict[float, float] = {}
     shares: dict[tuple[int, int, int], float] = {}
 
     def valued(pi_id: str, period: tuple[int, int]) -> list[tuple[int, float, float, float]]:
         start, end = period
         papers = []
-        for paper_id, _, year, _, n, i, s, _ in dataset.corresponding_papers(pi_id):
+        for (_, _, year, _, n, i, s, _), raw in dataset._papers_with_if(pi_id):
             if not start <= year <= end:
                 continue
-            raw = resolved_if[paper_id]
             value = weighted.get(raw)
             if value is None:
                 value = weighted[raw] = weighted_if(table, raw)

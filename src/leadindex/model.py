@@ -1,8 +1,8 @@
 """Domain types and dataset validation.
 
-All types are immutable after construction and safe to share across
-threads. Collections inside ValidatedDataset are built once during
-validation and treated as read-only from then on.
+All types are immutable after construction. Collections inside
+ValidatedDataset are built once during validation and treated as
+read-only from then on.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
+from functools import cached_property
+from itertools import compress, groupby, repeat
+from operator import add, attrgetter, getitem, itemgetter, sub
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .credit import MAX_AUTHOR_COUNT
@@ -43,6 +45,9 @@ class IFFallback(enum.Enum):
 # and each record's __new__ checks the values before tuple.__new__ stores
 # them, so a record costs one tuple. _replace and _make skip __new__ and its
 # checks; a changed record is built through the constructor instead.
+# Beside each __new__, _columns_valid runs the same checks over whole
+# columns of values: fileio's columnar reader builds records with
+# tuple.__new__ once it holds. The two must refuse the same rows.
 
 
 class _PublicationFields(NamedTuple):
@@ -96,6 +101,17 @@ class PublicationRecord(_PublicationFields):
         return tuple.__new__(cls, (paper_id, pi_id, year, journal, author_count,
                                    credit_position, tie_span, is_corresponding))
 
+    @staticmethod
+    def _columns_valid(paper_id, pi_id, year, journal, author_count,
+                       credit_position, tie_span, is_corresponding) -> bool:
+        # With tie_span >= 1, the bound on the span's last position,
+        # credit_position + tie_span - author_count <= 1, also holds the
+        # position to author_count.
+        return ("" not in paper_id and "" not in pi_id and "" not in journal
+                and 1 <= min(author_count) and max(author_count) <= MAX_AUTHOR_COUNT
+                and 1 <= min(credit_position) and 1 <= min(tie_span)
+                and max(map(sub, map(add, credit_position, tie_span), author_count)) <= 1)
+
 
 class _JournalYearIFFields(NamedTuple):
     journal: str
@@ -115,6 +131,11 @@ class JournalYearIF(_JournalYearIFFields):
             raise ValueError(
                 f"impact_factor must be finite and >= 0, got {impact_factor}")
         return tuple.__new__(cls, (journal, year, impact_factor))
+
+    @staticmethod
+    def _columns_valid(journal, year, impact_factor) -> bool:
+        return ("" not in journal and all(map(math.isfinite, impact_factor))
+                and min(impact_factor) >= 0)
 
 
 class _InvestigatorProfileFields(NamedTuple):
@@ -156,6 +177,14 @@ class InvestigatorProfile(_InvestigatorProfileFields):
         return tuple.__new__(cls, (pi_id, country, tier, gender, birth_year, rank,
                                    total_funding, currency))
 
+    @staticmethod
+    def _columns_valid(pi_id, country, tier, gender, birth_year, rank,
+                       total_funding, currency) -> bool:
+        return ("" not in pi_id and "" not in country and set(tier).issubset(TIERS)
+                and all(funding is None or (math.isfinite(funding) and funding >= 0
+                                            and bool(unit))
+                        for funding, unit in zip(total_funding, currency)))
+
 
 class _GrantFields(NamedTuple):
     pi_id: str
@@ -177,6 +206,11 @@ class GrantRecord(_GrantFields):
         if not currency:
             raise ValueError("currency must be non-empty")
         return tuple.__new__(cls, (pi_id, year, amount, currency))
+
+    @staticmethod
+    def _columns_valid(pi_id, year, amount, currency) -> bool:
+        return ("" not in pi_id and all(map(math.isfinite, amount)) and min(amount) >= 0
+                and "" not in currency)
 
 
 @dataclass(frozen=True)
@@ -219,23 +253,65 @@ class ValidatedDataset:
 
     publications: tuple[PublicationRecord, ...]
     profiles: Mapping[str, InvestigatorProfile]
-    resolved_if: Mapping[str, float]
     warnings: tuple[str, ...] = ()
-    _by_pi: Mapping[str, tuple[PublicationRecord, ...]] = field(default_factory=dict, repr=False)
+    # Per investigator, its corresponding records in input order, and their
+    # impact factors in the same order.
+    _by_pi: Mapping[str, tuple[tuple[PublicationRecord, ...], tuple[float, ...]]] = field(
+        default_factory=dict, repr=False)
+    # Per journal, its impact factor by year, resolved on lookup; resolved_if reads it.
+    _impact: Mapping[str, Mapping[int, float]] = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def resolved_if(self) -> Mapping[str, float]:
+        """Impact factor per paper_id, built on first read; scoring does not read it."""
+        impact = self._impact
+        return {r.paper_id: impact[r.journal][r.year] for r in self.publications}
 
     def corresponding_papers(
         self, pi_id: str, period: Optional[tuple[int, int]] = None
     ) -> list[PublicationRecord]:
         """Scoring-eligible records of one investigator, optionally by period."""
-        records = self._by_pi.get(pi_id, ())
+        records, _ = self._by_pi.get(pi_id, ((), ()))
         if period is None:
             return list(records)
         start, end = period
         return [r for r in records if start <= r.year <= end]
 
+    def _papers_with_if(self, pi_id: str) -> Iterable[tuple[PublicationRecord, float]]:
+        """(record, impact factor) of each scoring-eligible record of one investigator."""
+        records, ifs = self._by_pi.get(pi_id, ((), ()))
+        return zip(records, ifs)
+
     @property
     def pi_ids(self) -> list[str]:
         return sorted(self.profiles)
+
+
+class _JournalYears(dict):
+    """One journal's impact factor per year: its entries, and each other year
+    resolved on its first lookup.
+
+    ``years`` ascend and ``ifs`` holds their impact factors. A year takes
+    the latest entry not after it, or with ``any_prior_year`` false only its
+    own; None when there is none.
+    """
+
+    __slots__ = ("years", "ifs", "any_prior_year")
+
+    def __init__(self, years: list[int], ifs: list[float], any_prior_year: bool):
+        super().__init__(zip(years, ifs))
+        self.years = years
+        self.ifs = ifs
+        self.any_prior_year = any_prior_year
+
+    def __missing__(self, year: int) -> Optional[float]:
+        years = self.years
+        i = bisect_right(years, year)  # years[i - 1] is the latest entry not after year
+        value = None
+        if i and (self.any_prior_year or years[i - 1] == year):
+            value = self.ifs[i - 1]
+        self[year] = value
+        return value
 
 
 def validate_dataset(
@@ -262,6 +338,7 @@ def validate_dataset(
     errors: list[str] = []
     warnings: list[str] = []
 
+    any_prior_year = fallback is IFFallback.NEAREST_PRIOR_YEAR
     # Per journal, its entry years ascending and their impact factors.
     index: dict[str, tuple[list[int], list[float]]] = {}
     for j in sorted(journals, key=attrgetter("journal", "year")):
@@ -271,6 +348,8 @@ def validate_dataset(
         else:
             years.append(j.year)
             ifs.append(j.impact_factor)
+    impact = {journal: _JournalYears(years, ifs, any_prior_year)
+              for journal, (years, ifs) in index.items()}
 
     profile_map: dict[str, InvestigatorProfile] = {}
     for p in profiles:
@@ -279,36 +358,50 @@ def validate_dataset(
         else:
             profile_map[p.pi_id] = p
 
-    any_prior_year = fallback is IFFallback.NEAREST_PRIOR_YEAR
-    # Every paper_id seen so far, with None where its IF did not resolve;
-    # that case is an error, so no None survives validation.
-    resolved: dict[str, float | None] = {}
-    by_pi: dict[str, list[PublicationRecord]] = {}
-    non_corresponding = 0
-    for rec in publications:
-        if rec.paper_id in resolved:
-            errors.append(f"duplicate paper_id {rec.paper_id}")
-            continue
-        if rec.pi_id not in profile_map:
-            errors.append(f"paper {rec.paper_id}: unknown pi_id {rec.pi_id}")
-        # years[i - 1] is the latest entry not after rec.year.
-        years, ifs = index.get(rec.journal, ((), ()))
-        i = bisect_right(years, rec.year)
-        if i and (any_prior_year or years[i - 1] == rec.year):
-            resolved[rec.paper_id] = ifs[i - 1]
-        else:
-            resolved[rec.paper_id] = None
-            errors.append(
-                f"paper {rec.paper_id}: no impact factor for {rec.journal} {rec.year}"
-            )
-        if rec.is_corresponding:
-            by_pi.setdefault(rec.pi_id, []).append(rec)
-        else:
-            non_corresponding += 1
-
-    if errors:
+    # Checked a column at a time, one temporary column after another; each
+    # distinct (journal, year) is resolved once, and a journal with no
+    # entries resolves every year to None.
+    unique_ids = len(set(map(itemgetter(0), publications))) == len(publications)
+    known_pis = profile_map.keys() >= set(map(itemgetter(1), publications))
+    unlisted = _JournalYears([], [], any_prior_year)
+    ifs = list(map(getitem,
+                   map(impact.get, map(itemgetter(3), publications), repeat(unlisted)),
+                   map(itemgetter(2), publications)))
+    if errors or not unique_ids or not known_pis or None in ifs:
+        # Row by row, to name each bad paper.
+        seen_papers: set[str] = set()
+        for rec, value in zip(publications, ifs):
+            if rec.paper_id in seen_papers:
+                errors.append(f"duplicate paper_id {rec.paper_id}")
+                continue
+            seen_papers.add(rec.paper_id)
+            if rec.pi_id not in profile_map:
+                errors.append(f"paper {rec.paper_id}: unknown pi_id {rec.pi_id}")
+            if value is None:
+                errors.append(
+                    f"paper {rec.paper_id}: no impact factor for {rec.journal} {rec.year}"
+                )
         raise DataValidationError(sorted(errors))
 
+    records = list(compress(publications, map(itemgetter(7), publications)))
+    ifs = list(compress(ifs, map(itemgetter(7), publications)))
+    # One slice per run of an investigator's consecutive records.
+    by_pi: dict[str, tuple] = {}
+    start = 0
+    for pi_id, run in groupby(map(itemgetter(1), records)):
+        end = start + len(list(run))
+        pi_records, pi_ifs = by_pi.setdefault(pi_id, ([], []))
+        pi_records += records[start:end]
+        pi_ifs += ifs[start:end]
+        start = end
+    for pi_id, (pi_records, pi_ifs) in by_pi.items():
+        by_pi[pi_id] = (tuple(pi_records), tuple(pi_ifs))
+    # Scoring reads the IFs carried in by_pi; resolved_if, if it is ever
+    # read, resolves the years again.
+    for journal_years in impact.values():
+        journal_years.clear()
+
+    non_corresponding = len(publications) - len(records)
     if non_corresponding:
         warnings.append(
             f"{non_corresponding} non-corresponding record(s) excluded from scoring"
@@ -317,9 +410,9 @@ def validate_dataset(
     return ValidatedDataset(
         publications=publications,
         profiles=profile_map,
-        resolved_if=resolved,
         warnings=tuple(warnings),
-        _by_pi={pi: tuple(records) for pi, records in by_pi.items()},
+        _by_pi=by_pi,
+        _impact=impact,
     )
 
 

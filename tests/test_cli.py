@@ -113,6 +113,18 @@ class TestExitCodes:
         assert main([*absent, "--table", str(dataset_dir / "table.csv")]) == 2
         assert main([*absent, "--period", "2008:2013"]) == 2
 
+    def test_cell_over_the_field_size_limit_is_1(self, dataset_dir, tmp_path, capsys):
+        pubs = tmp_path / "publications.csv"
+        header = (dataset_dir / "publications.csv").read_text().splitlines()[0]
+        pubs.write_text(f"{header}\n{'X' * 200_000},P0001,2010,J0001,1,1,1,true\n")
+        code = main(["validate", "--publications", str(pubs),
+                     "--journals", str(dataset_dir / "journals.csv"),
+                     "--profiles", str(dataset_dir / "profiles.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{pubs}:2: field larger than field limit" in err
+        assert "Traceback" not in err
+
     def test_toughness_build_takes_no_table(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["toughness-build", "--table", str(dataset_dir / "table.csv"),

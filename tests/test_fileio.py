@@ -548,3 +548,175 @@ class TestMemoisedRowsMatchPerCellParsing:
             except FileFormatError as exc:
                 got = exc.errors
         assert repr(got) == repr(_parse_each_cell(rows, MEMO_COLUMNS, make))
+
+
+def _read_rows(text, columns, make, header_line=1):
+    """``_parse_rows`` on ``text``: its records, or the errors it raised."""
+    try:
+        return _parse_rows("t.csv", io.StringIO(text, newline=""), columns, make, header_line)
+    except FileFormatError as exc:
+        return exc.errors
+
+
+def _typed(result):
+    """The records with each value's type and repr (so -0.0 differs from 0.0), or the errors."""
+    if result and isinstance(result[0], str):
+        return result
+    return [(type(r), [(type(v), repr(v)) for v in r]) for r in result]
+
+
+def _row_loop_only(lines, memos, make):
+    return None
+
+
+# Cells per kind of column: (plain, odd). Plain cells are unquoted and mostly
+# valid, so that most chunks go columnar; an odd one is special to csv or to
+# a check, or bad.
+TEXT_CELLS = (["a", "b", "J1", "P1"], [
+    "", ",", 'q"t', "l\nm", "l\r\nm", "c\rd", "\x0b", "v\u2028w", "a\0b", " ", "\x85"])
+YEAR_CELLS = (["2010", "1999", "-3"], [" 1", "1.5", "x", "+4", "-0", "00007"])
+FLOAT_CELLS = (["1.5", "0.0", "2", "3.25"], ["-0.0", "1e3", "nan", "inf", "-1.0", "1e400"])
+# Per format: its columns, record maker and the cells of each column.
+CELL_FORMATS = {
+    "publications": (fileio._PUBLICATIONS, PublicationRecord, [
+        TEXT_CELLS, TEXT_CELLS, YEAR_CELLS, TEXT_CELLS,
+        (["1", "2", "3"], ["0", "100000", "100001", "-1"]),
+        (["1", "2"], ["0", "4", "x"]), (["1", "2"], ["0", "3"]),
+        (["true", "false"], ["True", ""])]),
+    "journals": (fileio._JOURNALS, JournalYearIF, [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS]),
+    "profiles": (fileio._PROFILES, InvestigatorProfile, [
+        TEXT_CELLS, TEXT_CELLS, (["1", "2", "3"], ["0", "4"]),
+        (["", "male", "female"], ["x", "professor"]), (["", "1970"], ["x"]),
+        (["", "professor"], ["male"]), (["", "5.0"], ["-0.0", "-1.0", "x"]),
+        (["", "USD"], [])]),
+    "grants": (fileio._GRANTS, GrantRecord, [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS, TEXT_CELLS]),
+    "corpus": (fileio._CORPUS, _tuple, [
+        TEXT_CELLS, YEAR_CELLS, (["0", "10"], ["-1", "x"]), FLOAT_CELLS]),
+    "text": ([("x", None), ("y", None)], _tuple, [TEXT_CELLS, TEXT_CELLS]),
+    "memo": (MEMO_COLUMNS, _odd_sum_refused, [(
+        ["", "0", "7", "-0", "1.5", "-0.0", "true", "x"],
+        ["+-1", "1_0", " 1", "\u0663\uff15", "1e400", "nan"])] * len(MEMO_COLUMNS)),
+}
+
+
+def _quote(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def csv_texts(draw, columns, cells):
+    r"""A file of ``columns``: rows of plain cells, rows with one odd cell,
+    quoted and multi-line cells, blank lines, rows of the wrong width, and
+    "\n", "\r\n" or "\r" line ends."""
+    text = ",".join(name for name, _ in columns) + "\n"
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["odd"] * 4 + ["blank", "short", "long"]))
+        row = [draw(st.sampled_from(plain)) for plain, _ in cells]
+        if kind == "odd":
+            k = draw(st.integers(0, len(row) - 1))
+            plain, odd = cells[k]
+            row[k] = draw(st.sampled_from(plain + odd))
+        elif kind == "short":
+            row.pop()
+        elif kind == "long":
+            row.append(row[0])
+        row = [_quote(cell) if (set(cell) & set(',"\r\n')
+                                or draw(st.integers(0, 29)) == 0) else cell
+               for cell in row]
+        end = draw(st.sampled_from(["\n"] * 6 + ["\r\n"] * 3 + ["\r"]))
+        text += ("" if kind == "blank" else ",".join(row)) + end
+    if draw(st.booleans()):
+        text = text[:-1]  # no line break after the last row
+    return text
+
+
+class TestColumnarMatchesRowLoop:
+    @pytest.mark.parametrize("name", sorted(CELL_FORMATS))
+    @given(data=st.data(), chunk=st.sampled_from([1, 2, 3, 5]),
+           limit=st.sampled_from([0, 3, 2**16]), header_line=st.sampled_from([1, 2]))
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_records_and_errors(self, name, data, chunk, limit, header_line):
+        """Chunks read a column at a time, then the row loop from the first chunk
+        that is not plain or not clean, give what the row loop gives alone: the
+        same records, value types and signed zeros, or the same errors."""
+        columns, make, cells = CELL_FORMATS[name]
+        text = data.draw(csv_texts(columns, cells))
+        with mock.patch.object(fileio, "_CHUNK", chunk), \
+                mock.patch.object(fileio, "_MEMO_LIMIT", limit):
+            got = _read_rows(text, columns, make, header_line)
+        with mock.patch.object(fileio, "_columnar", _row_loop_only):
+            expected = _read_rows(text, columns, make, header_line)
+        assert _typed(got) == _typed(expected)
+
+    @pytest.mark.parametrize("name", sorted(CELL_FORMATS))
+    def test_each_odd_cell_in_a_later_chunk(self, name):
+        """Plain rows, then one row with one odd cell, in the second chunk."""
+        columns, make, cells = CELL_FORMATS[name]
+        header = ",".join(name for name, _ in columns)
+        plain_row = [plain[-1] for plain, _ in cells]
+        for k, (_, odd) in enumerate(cells):
+            for cell in odd:
+                row = plain_row.copy()
+                row[k] = _quote(cell) if set(cell) & set(',"\r\n') else cell
+                text = "\n".join([header, *[",".join(plain_row)] * 3, ",".join(row), ""])
+                with mock.patch.object(fileio, "_CHUNK", 2):
+                    got = _read_rows(text, columns, make)
+                with mock.patch.object(fileio, "_columnar", _row_loop_only):
+                    expected = _read_rows(text, columns, make)
+                assert _typed(got) == _typed(expected), (k, cell)
+
+    def test_bad_cell_in_a_later_chunk_keeps_its_line(self):
+        rows = [f"p{i},P1,2010,J1,3,1,1,true" for i in range(10)]
+        rows[7] = "p7,P1,20x0,J1,3,1,1,true"
+        rows[8] = '"p8",P1,2010,J1,3,4,1,true'
+        text = ",".join(fileio.PUBLICATIONS_HEADER) + "\n" + "\n".join(rows) + "\n"
+        columnar, read_columns = [], fileio._columnar
+
+        def spy(lines, memos, make):
+            columnar.append(read_columns(lines, memos, make))
+            return columnar[-1]
+
+        with mock.patch.object(fileio, "_CHUNK", 3), mock.patch.object(fileio, "_columnar", spy):
+            errors = _read_rows(text, fileio._PUBLICATIONS, PublicationRecord)
+        assert errors == ["t.csv:9: year: not an integer: '20x0'",
+                          "t.csv:10: credit_position 4 out of range 1..3"]
+        assert [len(records) for records in columnar[:-1]] == [3, 3]
+        assert columnar[-1] is None
+
+    def test_repeated_text_cells_share_one_string(self):
+        rows = [f"p{i},P{i % 2},2010,J1,3,1,1,true" for i in range(9)]
+        text = ",".join(fileio.PUBLICATIONS_HEADER) + "\n" + "\n".join(rows) + "\n"
+        with mock.patch.object(fileio, "_CHUNK", 4):
+            records = _read_rows(text, fileio._PUBLICATIONS, PublicationRecord)
+        assert len({id(r.pi_id) for r in records}) == 2
+        assert len({id(r.journal) for r in records}) == 1
+
+
+class TestOversizedCell:
+    limit = csv.field_size_limit()
+
+    @pytest.mark.parametrize("chunk", [1, 4, 4096])
+    def test_refused_at_the_line_of_its_row(self, tmp_path, chunk):
+        path = tmp_path / "publications.csv"
+        rows = [f"p{i},P1,2010,J1,3,1,1,true" for i in range(6)]
+        rows[4] = "x" * (self.limit + 1) + ",P1,2010,J1,3,1,1,true"
+        path.write_text(",".join(fileio.PUBLICATIONS_HEADER) + "\n" + "\n".join(rows) + "\n")
+        with mock.patch.object(fileio, "_CHUNK", chunk), \
+                pytest.raises(FileFormatError) as err:
+            read_publications(path)
+        assert err.value.errors == [
+            f"{path}:6: field larger than field limit ({self.limit})"]
+
+    def test_in_the_header(self, tmp_path):
+        path = tmp_path / "journals.csv"
+        path.write_text("j" * (self.limit + 1) + ",year,impact_factor\nJ1,2010,1.5\n")
+        with pytest.raises(FileFormatError) as err:
+            read_journals(path)
+        assert err.value.errors == [
+            f"{path}:1: field larger than field limit ({self.limit})"]
+
+    def test_cell_at_the_limit_is_read(self, tmp_path):
+        path = tmp_path / "journals.csv"
+        journal = "j" * self.limit
+        path.write_text(f"journal,year,impact_factor\n{journal},2010,1.5\n")
+        assert read_journals(path) == [JournalYearIF(journal, 2010, 1.5)]

@@ -355,3 +355,86 @@ def test_enums_expose_stable_labels():
     assert Gender.MALE.value == "male"
     assert Rank.ASSOC_PROFESSOR.value == "assoc_professor"
     assert IFFallback.NEAREST_PRIOR_YEAR.value == "nearest-prior-year"
+
+
+def _validate_row_by_row(publications, journals, profiles, fallback):
+    """The per-record validation loop, the reference for validate_dataset.
+
+    Returns (resolved_if, corresponding paper_ids per investigator, warnings),
+    or the sorted errors.
+    """
+    errors, entries = [], {}
+    for j in journals:
+        if (j.journal, j.year) in entries:
+            errors.append(f"duplicate impact factor entry for {j.journal} {j.year}")
+        entries[(j.journal, j.year)] = j.impact_factor
+    profile_ids = set()
+    for p in profiles:
+        if p.pi_id in profile_ids:
+            errors.append(f"duplicate profile for pi_id {p.pi_id}")
+        profile_ids.add(p.pi_id)
+    resolved, by_pi, non_corresponding = {}, {}, 0
+    for rec in publications:
+        if rec.paper_id in resolved:
+            errors.append(f"duplicate paper_id {rec.paper_id}")
+            continue
+        if rec.pi_id not in profile_ids:
+            errors.append(f"paper {rec.paper_id}: unknown pi_id {rec.pi_id}")
+        years = [y for (j, y) in entries if j == rec.journal and y <= rec.year]
+        if years and (fallback is IFFallback.NEAREST_PRIOR_YEAR or rec.year in years):
+            resolved[rec.paper_id] = entries[(rec.journal, max(years))]
+        else:
+            resolved[rec.paper_id] = None
+            errors.append(f"paper {rec.paper_id}: no impact factor for {rec.journal} {rec.year}")
+        if rec.is_corresponding:
+            by_pi.setdefault(rec.pi_id, []).append(rec.paper_id)
+        else:
+            non_corresponding += 1
+    if errors:
+        return sorted(errors)
+    warnings = ((f"{non_corresponding} non-corresponding record(s) excluded from scoring",)
+                if non_corresponding else ())
+    return resolved, by_pi, warnings
+
+
+class TestValidationMatchesRowByRow:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        papers=st.lists(st.tuples(
+            st.sampled_from(["P1", "P2", "P3"]), st.integers(2000, 2004),
+            st.sampled_from("ABC"), st.booleans()), max_size=12),
+        duplicate=st.booleans(),
+        dropped=st.sets(st.tuples(st.sampled_from("ABC"), st.integers(2000, 2004)),
+                        max_size=3),
+        ifs=st.lists(st.sampled_from([0.0, -0.0, 1.5, 2.25, 7.0]), min_size=15, max_size=15),
+        pi_ids=st.sampled_from([["P1", "P2", "P3"], ["P3", "P1", "P2"], ["P1", "P2"],
+                                ["P1", "P2", "P3", "P2"]]),
+        fallback=st.sampled_from(list(IFFallback)),
+    )
+    def test_same_datasets_and_errors(self, papers, duplicate, dropped, ifs, pi_ids,
+                                      fallback):
+        """Checked a column at a time, resolved once per (journal, year): the same
+        resolved_if, corresponding papers, scoring IFs and warnings, or the same
+        sorted errors, as the loop over records."""
+        pubs = [PublicationRecord(f"p{i}", pi, y, j, 2, 1, 1, c)
+                for i, (pi, y, j, c) in enumerate(papers)]
+        if duplicate and pubs:
+            pubs.append(pubs[0])
+        entries = [(j, y) for j in "ABC" for y in range(2000, 2005) if (j, y) not in dropped]
+        journals = [JournalYearIF(j, y, v) for (j, y), v in zip(entries, ifs)]
+        profiles = [InvestigatorProfile(pi, "CN", 1) for pi in pi_ids]
+        expected = _validate_row_by_row(pubs, journals, profiles, fallback)
+        try:
+            dataset = validate_dataset(pubs, journals, profiles, fallback)
+        except DataValidationError as exc:
+            assert exc.errors == expected
+            return
+        resolved, by_pi, warnings = expected
+        assert [(k, repr(v)) for k, v in dataset.resolved_if.items()] == [
+            (k, repr(v)) for k, v in resolved.items()]
+        assert dataset.warnings == warnings
+        for pi in pi_ids:
+            papers_of = dataset.corresponding_papers(pi)
+            assert [r.paper_id for r in papers_of] == by_pi.get(pi, [])
+            assert [(r, repr(v)) for r, v in dataset._papers_with_if(pi)] == [
+                (r, repr(resolved[r.paper_id])) for r in papers_of]
