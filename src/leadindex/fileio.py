@@ -39,9 +39,10 @@ _FLOAT_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _CHUNK = 2048
 # Most entries per column memo in _parse_rows. Years, journals, author
 # counts and impact factors repeat down a column and fit many times over.
-# The columnar path stores nothing for a column that is mostly unique
-# within a chunk (paper_id, grant amounts); the row loop stores until the
-# bound, then costs one failed lookup per row rather than one entry per row.
+# Text is stored until the bound, so repeated text shares one string. The
+# columnar path stores nothing from a chunk where no text cell repeats
+# (paper_id) or few typed cells do (grant amounts). Past the bound the row
+# loop costs one failed lookup per row rather than one entry per row.
 _MEMO_LIMIT = 2**16
 _MISS = object()  # memo lookups can hit a None, which _optional yields
 
@@ -249,9 +250,10 @@ def _columnar(lines: list, memos, make) -> list | None:
                 col = list(map(memo.__getitem__, col))
             except KeyError:  # a cell not seen before
                 distinct = set(col)
-                if 8 * len(distinct) > 7 * n:
-                    # Fewer than one cell in eight repeats in the chunk (paper_id,
-                    # grant amounts): a memo would be hit by few rows.
+                if len(distinct) == n if parse is None else 8 * len(distinct) > 7 * n:
+                    # No text cell repeats in the chunk (paper_id), or fewer than one
+                    # typed cell in eight (grant amounts): a memo would be hit by
+                    # few rows. Text that repeats is stored, so it shares one string.
                     if parse is not None:
                         col = list(map(parse, col, repeat(name)))
                 else:
@@ -262,15 +264,9 @@ def _columnar(lines: list, memos, make) -> list | None:
                                  for cell in new})
                     col = list(map(memo.__getitem__, col))
             cols.append(col)
-        columns_valid = getattr(make, "_columns_valid", None)
-        if columns_valid is None:
-            return list(map(make, *cols))
-        if not columns_valid(*cols):
-            return None
+        return list(map(make, *cols))
     except ValueError:  # _RowError or model invariant violation
         return None
-    # Every row passed make's checks, so the records skip __new__.
-    return list(map(tuple.__new__, repeat(make), zip(*cols)))
 
 
 def _read_csv(path: Pathish, columns, make) -> list:

@@ -10,10 +10,10 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
-from itertools import compress, groupby, repeat
-from operator import add, attrgetter, getitem, itemgetter, sub
+from itertools import repeat
+from operator import attrgetter, getitem, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .credit import MAX_AUTHOR_COUNT
@@ -45,9 +45,6 @@ class IFFallback(enum.Enum):
 # and each record's __new__ checks the values before tuple.__new__ stores
 # them, so a record costs one tuple. _replace and _make skip __new__ and its
 # checks; a changed record is built through the constructor instead.
-# Beside each __new__, _columns_valid runs the same checks over whole
-# columns of values: fileio's columnar reader builds records with
-# tuple.__new__ once it holds. The two must refuse the same rows.
 
 
 class _PublicationFields(NamedTuple):
@@ -101,17 +98,6 @@ class PublicationRecord(_PublicationFields):
         return tuple.__new__(cls, (paper_id, pi_id, year, journal, author_count,
                                    credit_position, tie_span, is_corresponding))
 
-    @staticmethod
-    def _columns_valid(paper_id, pi_id, year, journal, author_count,
-                       credit_position, tie_span, is_corresponding) -> bool:
-        # With tie_span >= 1, the bound on the span's last position,
-        # credit_position + tie_span - author_count <= 1, also holds the
-        # position to author_count.
-        return ("" not in paper_id and "" not in pi_id and "" not in journal
-                and 1 <= min(author_count) and max(author_count) <= MAX_AUTHOR_COUNT
-                and 1 <= min(credit_position) and 1 <= min(tie_span)
-                and max(map(sub, map(add, credit_position, tie_span), author_count)) <= 1)
-
 
 class _JournalYearIFFields(NamedTuple):
     journal: str
@@ -131,11 +117,6 @@ class JournalYearIF(_JournalYearIFFields):
             raise ValueError(
                 f"impact_factor must be finite and >= 0, got {impact_factor}")
         return tuple.__new__(cls, (journal, year, impact_factor))
-
-    @staticmethod
-    def _columns_valid(journal, year, impact_factor) -> bool:
-        return ("" not in journal and all(map(math.isfinite, impact_factor))
-                and min(impact_factor) >= 0)
 
 
 class _InvestigatorProfileFields(NamedTuple):
@@ -177,14 +158,6 @@ class InvestigatorProfile(_InvestigatorProfileFields):
         return tuple.__new__(cls, (pi_id, country, tier, gender, birth_year, rank,
                                    total_funding, currency))
 
-    @staticmethod
-    def _columns_valid(pi_id, country, tier, gender, birth_year, rank,
-                       total_funding, currency) -> bool:
-        return ("" not in pi_id and "" not in country and set(tier).issubset(TIERS)
-                and all(funding is None or (math.isfinite(funding) and funding >= 0
-                                            and bool(unit))
-                        for funding, unit in zip(total_funding, currency)))
-
 
 class _GrantFields(NamedTuple):
     pi_id: str
@@ -206,11 +179,6 @@ class GrantRecord(_GrantFields):
         if not currency:
             raise ValueError("currency must be non-empty")
         return tuple.__new__(cls, (pi_id, year, amount, currency))
-
-    @staticmethod
-    def _columns_valid(pi_id, year, amount, currency) -> bool:
-        return ("" not in pi_id and all(map(math.isfinite, amount)) and min(amount) >= 0
-                and "" not in currency)
 
 
 @dataclass(frozen=True)
@@ -253,13 +221,16 @@ class ValidatedDataset:
 
     publications: tuple[PublicationRecord, ...]
     profiles: Mapping[str, InvestigatorProfile]
+    _: KW_ONLY
     warnings: tuple[str, ...] = ()
     # Per investigator, its corresponding records in input order, and their
     # impact factors in the same order.
-    _by_pi: Mapping[str, tuple[tuple[PublicationRecord, ...], tuple[float, ...]]] = field(
-        default_factory=dict, repr=False)
-    # Per journal, its impact factor by year, resolved on lookup; resolved_if reads it.
-    _impact: Mapping[str, Mapping[int, float]] = field(default_factory=dict, repr=False)
+    _by_pi: Mapping[str, tuple[list[PublicationRecord], list[float]]] = field(
+        default_factory=dict, compare=False, repr=False)
+    # Per journal, its impact factor by each year a publication names;
+    # resolved_if reads it.
+    _impact: Mapping[str, Mapping[int, float]] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def resolved_if(self) -> Mapping[str, float]:
@@ -383,25 +354,14 @@ def validate_dataset(
                 )
         raise DataValidationError(sorted(errors))
 
-    records = list(compress(publications, map(itemgetter(7), publications)))
-    ifs = list(compress(ifs, map(itemgetter(7), publications)))
-    # One slice per run of an investigator's consecutive records.
-    by_pi: dict[str, tuple] = {}
-    start = 0
-    for pi_id, run in groupby(map(itemgetter(1), records)):
-        end = start + len(list(run))
-        pi_records, pi_ifs = by_pi.setdefault(pi_id, ([], []))
-        pi_records += records[start:end]
-        pi_ifs += ifs[start:end]
-        start = end
-    for pi_id, (pi_records, pi_ifs) in by_pi.items():
-        by_pi[pi_id] = (tuple(pi_records), tuple(pi_ifs))
-    # Scoring reads the IFs carried in by_pi; resolved_if, if it is ever
-    # read, resolves the years again.
-    for journal_years in impact.values():
-        journal_years.clear()
+    by_pi: dict[str, tuple[list[PublicationRecord], list[float]]] = {}
+    for rec, value in zip(publications, ifs):
+        if rec[7]:  # is_corresponding
+            pi_records, pi_ifs = by_pi.setdefault(rec[1], ([], []))
+            pi_records.append(rec)
+            pi_ifs.append(value)
 
-    non_corresponding = len(publications) - len(records)
+    non_corresponding = len(publications) - sum(len(r) for r, _ in by_pi.values())
     if non_corresponding:
         warnings.append(
             f"{non_corresponding} non-corresponding record(s) excluded from scoring"

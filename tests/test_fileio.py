@@ -691,6 +691,16 @@ class TestColumnarMatchesRowLoop:
         assert len({id(r.pi_id) for r in records}) == 2
         assert len({id(r.journal) for r in records}) == 1
 
+    def test_text_mostly_distinct_in_each_chunk_still_shares_one_string(self):
+        """15 journals in each 16-line chunk: all but one cell is new to the
+        chunk, yet each journal is one string across every chunk."""
+        journals = [f"J{i}" for i in range(15)] + ["J0"]
+        rows = [f"p{i},P1,2010,{journals[i % 16]},3,1,1,true" for i in range(48)]
+        text = ",".join(fileio.PUBLICATIONS_HEADER) + "\n" + "\n".join(rows) + "\n"
+        with mock.patch.object(fileio, "_CHUNK", 16):
+            records = _read_rows(text, fileio._PUBLICATIONS, PublicationRecord)
+        assert len({id(r.journal) for r in records}) == 15
+
 
 class TestOversizedCell:
     limit = csv.field_size_limit()

@@ -17,6 +17,7 @@ from leadindex.model import (
     PublicationRecord,
     Rank,
     ScoreCard,
+    ValidatedDataset,
     aggregate_grants,
     apply_funding,
     validate_dataset,
@@ -238,6 +239,18 @@ class TestValidateDataset:
             validate_dataset([], journals, profiles)
         assert any("duplicate impact factor entry for JA 2010" in m for m in err.value.errors)
         assert any("duplicate profile for pi_id P1" in m for m in err.value.errors)
+
+    def test_equal_whether_or_not_resolved_if_was_read(self):
+        inputs = ([PublicationRecord("p1", "P1", 2011, "JA", 1, 1)],
+                  [JournalYearIF("JA", 2010, 2.0)], [InvestigatorProfile("P1", "CN", 1)],
+                  IFFallback.NEAREST_PRIOR_YEAR)
+        read, unread = validate_dataset(*inputs), validate_dataset(*inputs)
+        assert read.resolved_if == {"p1": 2.0}
+        assert read == unread
+
+    def test_fields_after_profiles_are_keyword_only(self, small_dataset):
+        with pytest.raises(TypeError):
+            ValidatedDataset(small_dataset.publications, small_dataset.profiles, ("w",))
 
 
 class TestIFFallback:
