@@ -33,8 +33,6 @@ from .metrics import (
     output_raw,
     output_weighted,
     score_all,
-    score_investigator,
-    team_output,
 )
 from .model import (
     Gender,
@@ -74,6 +72,6 @@ __all__ = [
     "equivalent_time", "estimate_paper_counts", "funding_correlations",
     "group_size_for_credit", "leadership", "leadership_from_funding",
     "mean_sd", "output_raw", "output_weighted", "pearson", "scenario_share",
-    "score_all", "score_investigator", "significance_mark", "team_output",
-    "trend", "validate_dataset", "weight_of", "weighted_if", "welch_t_test",
+    "score_all", "significance_mark", "trend", "validate_dataset",
+    "weight_of", "weighted_if", "welch_t_test",
 ]

@@ -148,11 +148,6 @@ def _group_sort_key(grouping: Grouping, label: str):
     return label
 
 
-def _card_value(card: ScoreCard, metric: str) -> float:
-    value = getattr(card, metric)
-    return float(value)
-
-
 def cohort_report(
     dataset: ValidatedDataset,
     scorecards: Sequence[ScoreCard],
@@ -192,7 +187,7 @@ def cohort_report(
         cards = by_group[label]
         metrics: dict[str, MetricSummary] = {}
         for metric in COHORT_METRICS:
-            values = [_card_value(c, metric) for c in cards]
+            values = [float(getattr(c, metric)) for c in cards]
             center, sd = mean_sd(values)
             p = None
             mark = ""
@@ -202,7 +197,7 @@ def cohort_report(
                 and len(values) >= 2
                 and len(reference) >= 2
             ):
-                ref_values = [_card_value(c, metric) for c in reference]
+                ref_values = [float(getattr(c, metric)) for c in reference]
                 _, _, p = welch_t_test(values, ref_values)
                 mark = significance_mark(p)
             metrics[metric] = MetricSummary(mean=center, sd=sd, p=p, mark=mark)

@@ -78,6 +78,10 @@ _parse_step = _number_flag(float, "finite and > 0", lambda v: 0 < v < math.inf)
 _parse_max_t = _number_flag(float, "a number, not NaN", lambda v: not math.isnan(v))
 _parse_exclude_t = _number_flag(float, "finite", math.isfinite)
 _parse_levels = _number_flag(int, ">= 1", lambda v: v >= 1)
+_parse_count = _number_flag(int, ">= 0", lambda v: v >= 0)
+_parse_papers_mean = _number_flag(
+    float, f"between 0 and {synth.MAX_PAPERS_MEAN}",
+    lambda v: 0 <= v <= synth.MAX_PAPERS_MEAN)
 
 
 def _parse_exclude(value) -> tuple[float, ...]:
@@ -212,7 +216,7 @@ def cmd_synth(args) -> Iterable[Path]:
         years=args.years,
         papers_per_pi_mean=args.papers_mean,
     )
-    return synth.synth_corpus(synth_config, args.out_dir).values()
+    return synth.write_dataset(synth.generate(synth_config), args.out_dir).values()
 
 
 # Every option but --config, declared once as (flag, add_argument keywords)
@@ -266,11 +270,11 @@ _OPTIONS: dict[str, tuple[tuple[str, dict], ...]] = {
     ),
     "synth": (
         ("--seed", dict(type=int, default=42)),
-        ("--pis", dict(type=int, default=100)),
-        ("--journal-count", dict(type=int, default=40)),
+        ("--pis", dict(type=_parse_count, default=100)),
+        ("--journal-count", dict(type=_parse_count, default=40)),
         ("--years", dict(type=lambda s: _parse_span(s, "years"), default=(2008, 2013),
                          help="publication years, START:END inclusive")),
-        ("--papers-mean", dict(type=float, default=8.0)),
+        ("--papers-mean", dict(type=_parse_papers_mean, default=8.0)),
     ),
     "out-dir": (("--out-dir", dict(type=Path, default=Path("."))),),
     "format": (("--format", dict(choices=["csv", "json"], default="csv")),),

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import enum
 
-# Largest author list a publication record may name; also the default
-# search limit of group_size_for_credit.
+# Largest author list a publication record may name; also the search limit
+# of group_size_for_credit.
 MAX_AUTHOR_COUNT = 100_000
 
 # Prefix cache of harmonic numbers, extended lazily as larger k are asked for.
@@ -97,7 +97,6 @@ def scenario_share(
 def group_size_for_credit(
     target_a: float,
     scenario: CreditScenario = CreditScenario.RANKED,
-    max_n: int = MAX_AUTHOR_COUNT,
 ) -> int:
     """Largest group size whose lead position still earns at least ``target_a``.
 
@@ -109,10 +108,10 @@ def group_size_for_credit(
     if not 0.0 < target_a <= 1.0:
         raise ValueError(f"target_a must lie in (0, 1], got {target_a}")
     best = 1
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_AUTHOR_COUNT + 1):
         s = 1 if scenario is CreditScenario.RANKED else min(2, n)
         if a_index(n, 1, s) >= target_a:
             best = n
         else:
             return best
-    raise ValueError(f"target_a {target_a} not reached within max_n={max_n}")
+    raise ValueError(f"target_a {target_a} not reached within {MAX_AUTHOR_COUNT} authors")

@@ -296,9 +296,12 @@ def read_toughness_corpus(path: Pathish) -> list[tuple[str, int, int, float]]:
 
 
 def _write_csv(
-    path: Pathish, header: Sequence[str], rows: Iterable[list], marker: str = ""
+    path: Pathish, header: Sequence[str], rows: Iterable[Sequence], marker: str = ""
 ) -> None:
     r"""Write an optional marker line, ``header``, then ``rows``, one per "\n" line.
+
+    Cells go to csv.writer as they are: None is written as an empty cell,
+    a float as its repr.
 
     A cell holding a delimiter, a quote, "\n" or "\r" is quoted, as Python
     3.13 does. Before 3.13 csv.writer quotes a line break only if it is in
@@ -314,14 +317,6 @@ def _write_csv(
         w.writerows(rows)
 
 
-def _fmt_opt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_publications(path: Pathish, records: Iterable[PublicationRecord]) -> None:
     _write_csv(path, PUBLICATIONS_HEADER, (
         [r.paper_id, r.pi_id, r.year, r.journal,
@@ -332,34 +327,29 @@ def write_publications(path: Pathish, records: Iterable[PublicationRecord]) -> N
 
 
 def write_journals(path: Pathish, records: Iterable[JournalYearIF]) -> None:
-    _write_csv(path, JOURNALS_HEADER,
-               ([r.journal, r.year, repr(r.impact_factor)] for r in records))
+    _write_csv(path, JOURNALS_HEADER, records)
 
 
 def write_profiles(path: Pathish, records: Iterable[InvestigatorProfile]) -> None:
     _write_csv(path, PROFILES_HEADER, (
         [r.pi_id, r.country, r.tier,
-         r.gender.value if r.gender else "",
-         _fmt_opt(r.birth_year),
-         r.rank.value if r.rank else "",
-         _fmt_opt(r.total_funding),
-         r.currency or ""]
+         r.gender.value if r.gender else None,
+         r.birth_year,
+         r.rank.value if r.rank else None,
+         r.total_funding,
+         r.currency]
         for r in records
     ))
 
 
 def write_grants(path: Pathish, records: Iterable[GrantRecord]) -> None:
-    _write_csv(path, GRANTS_HEADER,
-               ([r.pi_id, r.year, repr(r.amount), r.currency] for r in records))
+    _write_csv(path, GRANTS_HEADER, records)
 
 
 def write_toughness_corpus(
     path: Pathish, rows: Iterable[tuple[str, int, int, float]]
 ) -> None:
-    _write_csv(path, CORPUS_HEADER, (
-        [journal, year, citations, repr(impact_factor)]
-        for journal, year, citations, impact_factor in rows
-    ))
+    _write_csv(path, CORPUS_HEADER, rows)
 
 
 def write_toughness_table(path: Pathish, table: ToughnessTable) -> None:
@@ -372,9 +362,7 @@ def write_toughness_table(path: Pathish, table: ToughnessTable) -> None:
     )
     # The bottom level matches any remaining IF, so its floor is 0.
     floors = list(table.cutoffs) + [0.0]
-    _write_csv(path, _TABLE_HEADER, ([weight, repr(min_if)]
-                                     for weight, min_if in zip(table.weights, floors)),
-               marker=meta)
+    _write_csv(path, _TABLE_HEADER, zip(table.weights, floors), marker=meta)
 
 
 def read_toughness_table(path: Pathish) -> ToughnessTable:

@@ -57,16 +57,6 @@ def output_weighted(papers: Iterable[ScoredPaper]) -> float:
     return math.fsum(p.value for p in papers)
 
 
-def team_output(papers: Iterable[tuple[float, float]]) -> float:
-    """Output of a whole team: sum of a_i * value_i over (share, value) pairs."""
-    total = []
-    for a, value in papers:
-        if not 0 < a <= 1:
-            raise ValueError(f"credit share must be in (0, 1], got {a}")
-        total.append(a * value)
-    return math.fsum(total)
-
-
 def equivalent_time(papers: Iterable[ScoredPaper]) -> float:
     """Equivalent managed time T = (1 / sum v_j) * sum (v_j / a_j).
 
@@ -187,26 +177,6 @@ def _card(
     if papers and funding is not None and funding > 0:
         l_fund = leadership_from_funding(metrics[1], funding)
     return ScoreCard(pi_id, period, len(papers), *metrics, l_fund=l_fund)
-
-
-def score_investigator(
-    dataset: ValidatedDataset,
-    pi_id: str,
-    period: tuple[int, int],
-    table: ToughnessTable,
-    scenario: CreditScenario = CreditScenario.RANKED,
-) -> ScoreCard:
-    """All five metrics for one investigator over [start, end] inclusive.
-
-    Investigators with no eligible papers get an unscored card. The funding
-    variant l_fund is filled in when the profile carries a positive total.
-    """
-    if pi_id not in dataset.profiles:
-        raise KeyError(f"unknown pi_id {pi_id}")
-    start, end = period
-    if start > end:
-        raise ValueError(f"period start {start} after end {end}")
-    return _card(dataset, pi_id, period, _valuer(dataset, table, scenario)(pi_id, period))
 
 
 def score_all(

@@ -17,6 +17,17 @@ from . import fileio
 from .model import Gender, GrantRecord, InvestigatorProfile, JournalYearIF, PublicationRecord, Rank
 
 _CURRENCY = {"CN": "CNY", "US": "USD"}
+_COUNTRIES = tuple(_CURRENCY)
+# Log-normal parameters of a journal's base impact factor.
+_IF_MU = 0.8
+_IF_SIGMA = 0.7
+# Coauthors per paper are 1 + Poisson(_AUTHOR_MEAN), capped at _MAX_AUTHORS.
+_AUTHOR_MEAN = 4.0
+_MAX_AUTHORS = 25
+# Largest papers_per_pi_mean accepted. _poisson compares against exp(-mean),
+# which leaves the normal float range past ~708 and is 0 past ~745, so a
+# larger mean would silently draw about 745 papers.
+MAX_PAPERS_MEAN = 700
 
 
 @dataclass(frozen=True)
@@ -26,25 +37,16 @@ class SynthConfig:
     n_journals: int = 40
     years: tuple[int, int] = (2008, 2013)
     papers_per_pi_mean: float = 8.0
-    if_mu: float = 0.8
-    if_sigma: float = 0.7
-    author_mean: float = 4.0
-    max_authors: int = 25
-    countries: tuple[str, ...] = ("CN", "US")
 
     def __post_init__(self):
         if self.n_pis < 0 or self.n_journals < 0:
             raise ValueError("sizes must be >= 0")
         if self.years[0] > self.years[1]:
             raise ValueError("years span must be ordered")
-        # `not >=` also refuses NaN, on which _poisson would never return.
-        if not (self.papers_per_pi_mean >= 0 and self.author_mean >= 0):
-            raise ValueError("papers_per_pi_mean and author_mean must be >= 0")
-        if self.max_authors < 1:
-            raise ValueError("max_authors must be >= 1")
-        for c in self.countries:
-            if c not in _CURRENCY:
-                raise ValueError(f"no currency known for country {c!r}")
+        # A chained comparison also refuses NaN, on which _poisson would never return.
+        if not 0 <= self.papers_per_pi_mean <= MAX_PAPERS_MEAN:
+            raise ValueError(f"papers_per_pi_mean must lie in [0, {MAX_PAPERS_MEAN}], "
+                             f"got {self.papers_per_pi_mean}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class SynthDataset:
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
-    # Knuth's product method; fine for the small lambdas used here.
+    # Knuth's product method; exact only while exp(-lam) is a normal float.
     limit = math.exp(-lam)
     k = 0
     p = 1.0
@@ -78,7 +80,7 @@ def generate(config: SynthConfig) -> SynthDataset:
     corpus = []
     journal_names = [f"J{i:04d}" for i in range(1, config.n_journals + 1)]
     for name in journal_names:
-        base = rng.lognormvariate(config.if_mu, config.if_sigma)
+        base = rng.lognormvariate(_IF_MU, _IF_SIGMA)
         for year in year_span:
             impact = round(base * rng.uniform(0.85, 1.15), 4)
             journals.append(JournalYearIF(journal=name, year=year, impact_factor=impact))
@@ -92,7 +94,7 @@ def generate(config: SynthConfig) -> SynthDataset:
     ranks = (Rank.PROFESSOR, Rank.ASSOC_PROFESSOR, Rank.ASSIST_PROFESSOR)
     for i in range(1, config.n_pis + 1):
         pid = f"P{i:04d}"
-        country = config.countries[rng.randrange(len(config.countries))]
+        country = _COUNTRIES[rng.randrange(len(_COUNTRIES))]
         tier = rng.choices((1, 2, 3), weights=(2, 4, 4))[0]
         gender = None
         if rng.random() >= 0.05:
@@ -117,7 +119,7 @@ def generate(config: SynthConfig) -> SynthDataset:
         paper_budget = _poisson(rng, config.papers_per_pi_mean) if journal_names else 0
         for _ in range(paper_budget):
             paper_seq += 1
-            authors = min(1 + _poisson(rng, config.author_mean), config.max_authors)
+            authors = min(1 + _poisson(rng, _AUTHOR_MEAN), _MAX_AUTHORS)
             position = 1 if rng.random() < 0.7 else rng.randint(1, authors)
             tie_span = 1
             if position < authors and rng.random() < 0.05:
@@ -162,7 +164,3 @@ def write_dataset(dataset: SynthDataset, out_dir: Path) -> dict[str, Path]:
     fileio.write_toughness_corpus(paths["toughness_corpus"], dataset.corpus)
     return paths
 
-
-def synth_corpus(config: SynthConfig, out_dir: Path) -> dict[str, Path]:
-    """Generate and write a full dataset; returns the file paths."""
-    return write_dataset(generate(config), out_dir)

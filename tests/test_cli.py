@@ -191,6 +191,17 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--papers-mean", "800"], ["--papers-mean", "inf"], ["--papers-mean", "nan"],
+        ["--papers-mean", "-1"], ["--pis", "-1"], ["--journal-count", "-1"],
+    ], ids=" ".join)
+    def test_synth_size_out_of_range_is_2_before_anything_is_written(self, tmp_path, flags):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out-dir", str(out), *flags])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_span_from_config_is_bounded_too(self, dataset_dir, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"span": [2013, 2008]}))

@@ -87,6 +87,12 @@ def test_group_size_rejects_bad_targets(target):
         group_size_for_credit(target)
 
 
+def test_group_size_target_below_the_author_cap_is_refused():
+    # a_index(100000, 1) is about 1.2e-4, so the sweep runs out of authors
+    with pytest.raises(ValueError, match="not reached within 100000 authors"):
+        group_size_for_credit(1e-5)
+
+
 def test_scenario_share_ranked_ignores_tie_span():
     assert scenario_share(5, 2, 3, CreditScenario.RANKED) == a_index(5, 2)
 

@@ -26,8 +26,6 @@ from leadindex.metrics import (
     output_raw,
     output_weighted,
     score_all,
-    score_investigator,
-    team_output,
 )
 from leadindex.model import (
     InvestigatorProfile,
@@ -88,21 +86,6 @@ class TestOutput:
         for p in papers:
             total += p.value_raw
         assert output_raw(papers) == total
-
-
-class TestTeamOutput:
-    def test_full_credit_single_member(self):
-        assert team_output([(1.0, 5.0)]) == 5.0
-
-    def test_two_member_dot_product(self):
-        assert team_output([(0.5, 4.0), (0.25, 8.0)]) == 4.0
-
-    def test_empty_team(self):
-        assert team_output([]) == 0.0
-
-    def test_share_out_of_range(self):
-        with pytest.raises(ValueError):
-            team_output([(1.5, 2.0)])
 
 
 class TestEquivalentTime:
@@ -214,9 +197,20 @@ class TestKernel:
             _metrics("P7", (2010, 2012), [(2010, 0.0, 0.0, 0.5), (2011, 0.0, 0.0, 1.0)])
 
 
-class TestScoreInvestigator:
+def card_of(dataset, pi_id, period, table, scenario=CreditScenario.RANKED):
+    """The card that score_all returns for one investigator."""
+    [card] = [c for c in score_all(dataset, period, table, scenario) if c.pi_id == pi_id]
+    return card
+
+
+class TestScoreAll:
+    def test_cards_sorted_by_pi_and_include_unscored(self, small_dataset, two_level_table):
+        cards = score_all(small_dataset, (2010, 2011), two_level_table)
+        assert [c.pi_id for c in cards] == ["P1", "P2", "P3"]
+        assert [c.scored for c in cards] == [True, True, False]
+
     def test_hand_computed_card(self, small_dataset, two_level_table):
-        card = score_investigator(small_dataset, "P1", (2010, 2010), two_level_table)
+        card = card_of(small_dataset, "P1", (2010, 2010), two_level_table)
         # papers: JA IF 4.0 weighted 8.0 with a = a_index(2,1) = 0.75,
         #         JB IF 1.0 weighted 1.0 with a = 1.0
         assert card.paper_count == 2
@@ -229,26 +223,22 @@ class TestScoreInvestigator:
         assert card.l_fund == pytest.approx(9.0 / math.sqrt(250000.0), rel=1e-12)
 
     def test_period_filters_out_everything(self, small_dataset, two_level_table):
-        card = score_investigator(small_dataset, "P1", (2012, 2013), two_level_table)
+        card = card_of(small_dataset, "P1", (2012, 2013), two_level_table)
         assert not card.scored
         assert card.paper_count == 0
         assert card.leadership is None
 
     def test_non_corresponding_papers_never_score(self, small_dataset, two_level_table):
         # P1's only 2011 paper is non-corresponding
-        card = score_investigator(small_dataset, "P1", (2011, 2011), two_level_table)
+        card = card_of(small_dataset, "P1", (2011, 2011), two_level_table)
         assert not card.scored
-
-    def test_profileless_investigator_rejected(self, small_dataset, two_level_table):
-        with pytest.raises(KeyError):
-            score_investigator(small_dataset, "P99", (2010, 2010), two_level_table)
 
     def test_inverted_period_rejected(self, small_dataset, two_level_table):
         with pytest.raises(ValueError):
-            score_investigator(small_dataset, "P1", (2012, 2010), two_level_table)
+            score_all(small_dataset, (2012, 2010), two_level_table)
 
     def test_unfunded_profile_has_no_l_fund(self, small_dataset, two_level_table):
-        card = score_investigator(small_dataset, "P2", (2010, 2011), two_level_table)
+        card = card_of(small_dataset, "P2", (2010, 2011), two_level_table)
         assert card.scored
         assert card.l_fund is None
 
@@ -259,32 +249,21 @@ class TestScoreInvestigator:
             JournalYearIF("JA", 2010, 4.0), JournalYearIF("JA", 2011, 4.5),
             JournalYearIF("JB", 2010, 1.0), JournalYearIF("JB", 2011, 1.25),
         ], profiles.values())
-        card = score_investigator(dataset, "P2", (2010, 2011), two_level_table)
+        card = card_of(dataset, "P2", (2010, 2011), two_level_table)
         assert card.scored
         assert card.l_fund is None
 
     def test_tied_scenario_changes_the_share(self, two_level_table):
-        from leadindex.model import InvestigatorProfile, JournalYearIF, PublicationRecord, validate_dataset
-
         dataset = validate_dataset(
             [PublicationRecord("p1", "P1", 2010, "JA", 4, 1, tie_span=2)],
             [JournalYearIF("JA", 2010, 2.0)],
             [InvestigatorProfile("P1", "CN", 1)],
         )
-        ranked = score_investigator(dataset, "P1", (2010, 2010), two_level_table,
-                                    CreditScenario.RANKED)
-        tied = score_investigator(dataset, "P1", (2010, 2010), two_level_table,
-                                  CreditScenario.TIED)
+        ranked = card_of(dataset, "P1", (2010, 2010), two_level_table, CreditScenario.RANKED)
+        tied = card_of(dataset, "P1", (2010, 2010), two_level_table, CreditScenario.TIED)
         assert ranked.t_equiv == pytest.approx(1.0 / a_index(4, 1), rel=1e-12)
         assert tied.t_equiv == pytest.approx(1.0 / a_index(4, 1, 2), rel=1e-12)
         assert tied.t_equiv > ranked.t_equiv
-
-
-class TestScoreAll:
-    def test_cards_sorted_by_pi_and_include_unscored(self, small_dataset, two_level_table):
-        cards = score_all(small_dataset, (2010, 2011), two_level_table)
-        assert [c.pi_id for c in cards] == ["P1", "P2", "P3"]
-        assert [c.scored for c in cards] == [True, True, False]
 
 
 def per_paper_valuer(dataset, table, scenario):
@@ -327,10 +306,8 @@ class TestMemoisedValuation:
 
         cards = score_all(dataset, period, two_level_table, scenario)
         series = trend(dataset, two_level_table, period, scenario)
-        singles = [score_investigator(dataset, pid, period, two_level_table, scenario)
-                   for pid in dataset.pi_ids]
         monkeypatch.setattr(metrics, "_valuer", per_paper_valuer)
         monkeypatch.setattr(analysis, "_valuer", per_paper_valuer)
-        assert cards == singles == score_all(dataset, period, two_level_table, scenario)
+        assert cards == score_all(dataset, period, two_level_table, scenario)
         assert series == trend(dataset, two_level_table, period, scenario)
         assert sum(c.scored for c in cards) >= 10

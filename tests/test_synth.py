@@ -6,7 +6,7 @@ import math
 import pytest
 
 from leadindex.model import validate_dataset
-from leadindex.synth import SynthConfig, generate, write_dataset
+from leadindex.synth import MAX_PAPERS_MEAN, SynthConfig, generate, write_dataset
 
 
 def file_hashes(paths):
@@ -56,11 +56,18 @@ class TestGenerate:
         data = generate(SynthConfig(seed=5, n_pis=10, n_journals=0))
         assert data.publications == ()
 
+    def test_largest_papers_mean_is_drawn_in_full(self):
+        # Past a mean of ~745 the Poisson draw would stop near 745 whatever
+        # was asked; the accepted maximum still draws its mean.
+        data = generate(SynthConfig(seed=1, n_pis=20, n_journals=1, years=(2010, 2010),
+                                    papers_per_pi_mean=MAX_PAPERS_MEAN))
+        assert abs(len(data.publications) / 20 - MAX_PAPERS_MEAN) < 30
+
     @pytest.mark.parametrize(
         "kwargs",
         [dict(n_pis=-1), dict(n_journals=-2), dict(years=(2013, 2008)),
-         dict(papers_per_pi_mean=-0.5), dict(max_authors=0),
-         dict(papers_per_pi_mean=math.nan), dict(author_mean=math.nan)],
+         dict(papers_per_pi_mean=-0.5), dict(papers_per_pi_mean=math.inf),
+         dict(papers_per_pi_mean=math.nan), dict(papers_per_pi_mean=700.5)],
     )
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -73,6 +80,20 @@ class TestWriteDataset:
         first = write_dataset(generate(config), tmp_path / "a")
         second = write_dataset(generate(config), tmp_path / "b")
         assert file_hashes(first) == file_hashes(second)
+
+    def test_pinned_bytes(self, tmp_path):
+        # The generator's constants and stream order fix these bytes; a change
+        # to either moves every seeded dataset, the benchmark's inputs included.
+        config = SynthConfig(seed=3, n_pis=6, n_journals=4, years=(2010, 2012),
+                             papers_per_pi_mean=3.0)
+        assert file_hashes(write_dataset(generate(config), tmp_path)) == {
+            "grants": "63c43e37eb594644306871843b0e0a3025ba7468fc817e097221a6c2d3b2b2ea",
+            "journals": "42fbe5d2f1789d3d184fc367638a819f406142360257b51300c9191b41822f8e",
+            "profiles": "4d6f697446f86db2b55fd519cc8b59a21aa89113fa8ed47d8da30e1fe6048733",
+            "publications": "e72fc064f946fbbd0f6d7c7b05f471d20d7b594abbaba3e20232f6cd54696059",
+            "toughness_corpus":
+                "e2ea6b2353db8a703780cfddc6a86a153c0b5b67047925c4e98f0274ea1deb97",
+        }
 
     def test_expected_files_present(self, tmp_path):
         paths = write_dataset(generate(SynthConfig(seed=11, n_pis=5)), tmp_path)
