@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .credit import CreditScenario
 from .errors import DataValidationError
@@ -43,8 +43,7 @@ def age_band(age: int) -> str:
     return "Over 60"
 
 
-@dataclass(frozen=True)
-class MetricSummary:
+class MetricSummary(NamedTuple):
     """Mean and sample SD of one metric in one group, with the significance
     mark from a Welch test against the reference group ('' when no
     comparison was made)."""
@@ -71,15 +70,13 @@ class CohortReport:
     unknown_group: int
 
 
-@dataclass(frozen=True)
-class TimeBin:
+class TimeBin(NamedTuple):
     center: float
     mean_leadership: float
     count: int
 
 
-@dataclass(frozen=True)
-class ExcludedSample:
+class ExcludedSample(NamedTuple):
     t: float
     leadership: float
     reason: str
@@ -92,8 +89,7 @@ class BinSeries:
     excluded: tuple[ExcludedSample, ...]
 
 
-@dataclass(frozen=True)
-class TrendPoint:
+class TrendPoint(NamedTuple):
     year: int
     n: int
     leadership: Optional[float]
@@ -108,8 +104,7 @@ class TrendSeries:
     points: tuple[TrendPoint, ...]
 
 
-@dataclass(frozen=True)
-class CorrelationRow:
+class CorrelationRow(NamedTuple):
     group: str
     n: int
     r: Optional[float]
@@ -130,8 +125,6 @@ def _group_label(
         return profile.country
     if profile.birth_year is None:
         return None
-    if age_reference_year is None:
-        raise ValueError("age_band grouping needs an age reference year")
     if age_reference_year < profile.birth_year:
         raise ValueError(f"{profile.pi_id}: age reference year {age_reference_year} "
                          f"is before birth year {profile.birth_year}")
@@ -241,7 +234,10 @@ def bin_by_time(
         if max_t is not None and t > max_t:
             excluded.append(ExcludedSample(t, lead, f"t above max_t {max_t!r}"))
             continue
-        index = math.floor(t / step + 0.5)
+        scaled = t / step
+        if not math.isfinite(scaled):
+            raise ValueError(f"step {step!r} is too small for T {t!r}: T / step is not finite")
+        index = math.floor(scaled + 0.5)
         bins.setdefault(index, []).append(lead)
 
     series = []
@@ -330,8 +326,6 @@ def funding_correlations(
         )
 
     def row(group: str, pairs: list[tuple[float, float]]) -> CorrelationRow:
-        if len(pairs) < 3:
-            return CorrelationRow(group=group, n=len(pairs), r=None, p=None, mark="")
         x = [f for f, _ in pairs]
         y = [l for _, l in pairs]
         try:

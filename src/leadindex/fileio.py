@@ -395,9 +395,7 @@ def read_toughness_table(path: Pathish) -> ToughnessTable:
         )
     try:
         return ToughnessTable(
-            level_count=levels,
             cutoffs=tuple(min_if for _, min_if in rows[:-1]),
-            weights=tuple(weights),
             base_count=base_count,
             total_papers=total_papers,
             divisor_mode=mode,

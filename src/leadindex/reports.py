@@ -16,6 +16,10 @@ from .analysis import (
     BinSeries,
     CohortReport,
     CorrelationRow,
+    ExcludedSample,
+    MetricSummary,
+    TimeBin,
+    TrendPoint,
     TrendSeries,
     COHORT_METRICS,
 )
@@ -24,15 +28,14 @@ from .model import ScoreCard
 
 Pathish = Union[str, Path]
 
+# A scorecard's period is written as two columns. Every other report row is
+# an analysis row type, written in its field order, alone or behind a prefix.
 SCORECARD_COLUMNS = [
     "pi_id", "period_start", "period_end", "paper_count",
     "o_raw", "o_weighted", "t_equiv", "efficiency", "leadership", "l_fund",
 ]
-COHORT_COLUMNS = ["grouping", "group", "n", "metric", "mean", "sd", "p", "mark"]
-BIN_COLUMNS = ["step", "center", "mean_leadership", "count"]
-BIN_EXCLUDED_COLUMNS = ["t", "leadership", "reason"]
-TREND_COLUMNS = ["year", "n", "leadership", "o_weighted", "efficiency", "t_equiv"]
-CORRELATION_COLUMNS = ["group", "n", "r", "p", "mark"]
+COHORT_COLUMNS = ["grouping", "group", "n", "metric", *MetricSummary._fields]
+BIN_COLUMNS = ["step", *TimeBin._fields]
 
 
 def fmt_float(value: Optional[float]) -> str:
@@ -48,7 +51,7 @@ def _target(out_dir: Pathish, name: str) -> Path:
 
 
 def _write_rows(out_dir: Pathish, name: str, columns: Sequence[str],
-                rows: list[tuple], fmt: str) -> Path:
+                rows: Sequence[tuple], fmt: str) -> Path:
     """Write tuples in ``columns`` order as name.csv or as name.json objects."""
     if fmt == "csv":
         path = _target(out_dir, f"{name}.csv")
@@ -87,32 +90,24 @@ def emit_scorecards(cards: Sequence[ScoreCard], out_dir: Pathish, fmt: str = "cs
 
 def emit_cohort(report: CohortReport, out_dir: Pathish, fmt: str = "csv") -> list[Path]:
     grouping = report.grouping.value
-    rows = []
-    for s in report.groups:
-        for metric in COHORT_METRICS:
-            m = s.metrics[metric]
-            rows.append((grouping, s.group, s.n, metric, m.mean, m.sd, m.p, m.mark))
+    rows = [(grouping, s.group, s.n, metric, *s.metrics[metric])
+            for s in report.groups for metric in COHORT_METRICS]
     return [_write_rows(out_dir, f"cohort_{grouping}", COHORT_COLUMNS, rows, fmt)]
 
 
 def emit_bins(series: BinSeries, out_dir: Pathish, fmt: str = "csv") -> list[Path]:
-    rows = [(series.step, b.center, b.mean_leadership, b.count) for b in series.bins]
-    excluded = [(e.t, e.leadership, e.reason) for e in series.excluded]
+    rows = [(series.step, *b) for b in series.bins]
     return [
         _write_rows(out_dir, "bins", BIN_COLUMNS, rows, fmt),
-        _write_rows(out_dir, "bins_excluded", BIN_EXCLUDED_COLUMNS, excluded, fmt),
+        _write_rows(out_dir, "bins_excluded", ExcludedSample._fields, series.excluded, fmt),
         _write_plot(out_dir, "bins.tsv", [row[1:3] for row in rows]),
     ]
 
 
 def emit_trend(series: TrendSeries, out_dir: Pathish, fmt: str = "csv") -> list[Path]:
-    rows = [
-        (p.year, p.n, p.leadership, p.o_weighted, p.efficiency, p.t_equiv)
-        for p in series.points
-    ]
-    paths = [_write_rows(out_dir, "trend", TREND_COLUMNS, rows, fmt)]
-    for i, metric in enumerate(TREND_COLUMNS[2:], start=2):
-        plot_rows = [(row[0], row[i]) for row in rows if row[i] is not None]
+    paths = [_write_rows(out_dir, "trend", TrendPoint._fields, series.points, fmt)]
+    for i, metric in enumerate(TrendPoint._fields[2:], start=2):
+        plot_rows = [(p.year, p[i]) for p in series.points if p[i] is not None]
         paths.append(_write_plot(out_dir, f"trend_{metric}.tsv", plot_rows))
     return paths
 
@@ -123,8 +118,7 @@ def emit_correlations(
     out_dir: Pathish,
     fmt: str = "csv",
 ) -> list[Path]:
-    table = [(r.group, r.n, r.r, r.p, r.mark) for r in rows]
     return [
-        _write_rows(out_dir, "correlations", CORRELATION_COLUMNS, table, fmt),
+        _write_rows(out_dir, "correlations", CorrelationRow._fields, rows, fmt),
         _write_plot(out_dir, "funding_scatter.tsv", samples),
     ]

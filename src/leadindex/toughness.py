@@ -36,31 +36,33 @@ class ToughnessTable:
     ``cutoffs`` holds the minimum impact factor of each level from the top,
     for levels 1..L-1 (the bottom level matches anything). ``level_sizes``
     records how many corpus papers landed in each level after boundary ties
-    were pulled up.
+    were pulled up; its length is the level count L.
     """
 
-    level_count: int
     cutoffs: tuple[float, ...]
-    weights: tuple[int, ...]
     base_count: int
     total_papers: int
     divisor_mode: DivisorMode
     level_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if self.level_count < 1:
-            raise ValueError("level_count must be >= 1")
-        if len(self.cutoffs) != self.level_count - 1:
-            raise ValueError("need one cutoff per level above the bottom")
-        if len(self.weights) != self.level_count:
-            raise ValueError("need one weight per level")
-        if len(self.level_sizes) != self.level_count:
-            raise ValueError("need one size per level")
-        if list(self.weights) != list(range(self.level_count, 0, -1)):
-            raise ValueError("weights must run from level_count down to 1")
+        # Also refuses a table with no levels: it would need -1 cutoffs.
+        if len(self.cutoffs) != len(self.level_sizes) - 1:
+            raise ValueError(f"{len(self.level_sizes)} level size(s) need one cutoff per "
+                             f"level above the bottom, got {len(self.cutoffs)}")
         for a, b in zip(self.cutoffs, self.cutoffs[1:]):
             if b > a:
                 raise ValueError("cutoffs must be non-increasing")
+
+    @property
+    def level_count(self) -> int:
+        """L: one level per entry of ``level_sizes``."""
+        return len(self.level_sizes)
+
+    @property
+    def weights(self) -> tuple[int, ...]:
+        """Weight of each level from the top: L down to 1."""
+        return tuple(range(self.level_count, 0, -1))
 
 
 def estimate_paper_counts(
@@ -71,7 +73,8 @@ def estimate_paper_counts(
     Input rows are (journal, total_citations, impact_factor); the estimated
     count is citations / IF rounded half to even. Journals with a zero
     impact factor cannot be estimated: they pass through with count 0 and a
-    warning. Returns (rows, warnings).
+    warning. A quotient outside the float range raises. Returns (rows,
+    warnings).
     """
     rows: list[tuple[str, int, float]] = []
     warnings: list[str] = []
@@ -84,7 +87,12 @@ def estimate_paper_counts(
             warnings.append(f"{journal}: zero impact factor, cannot estimate paper count")
             rows.append((journal, 0, impact_factor))
         else:
-            rows.append((journal, int(round(citations / impact_factor)), impact_factor))
+            try:
+                count = round(citations / impact_factor)
+            except OverflowError:
+                raise ValueError(f"{journal}: paper count (total_citations / "
+                                 f"{impact_factor!r}) is out of the float range") from None
+            rows.append((journal, count, impact_factor))
     return rows, warnings
 
 
@@ -147,9 +155,7 @@ def build_table(
             cutoffs.append(cutoffs[-1])
 
     return ToughnessTable(
-        level_count=level_count,
         cutoffs=tuple(cutoffs),
-        weights=tuple(range(level_count, 0, -1)),
         base_count=base,
         total_papers=total,
         divisor_mode=divisor_mode,

@@ -13,9 +13,7 @@ from leadindex.toughness import DivisorMode, ToughnessTable
 def two_level_table():
     """Tiny hand-built table: IF >= 3 weighs 2, everything else 1."""
     return ToughnessTable(
-        level_count=2,
         cutoffs=(3.0,),
-        weights=(2, 1),
         base_count=1,
         total_papers=3,
         divisor_mode=DivisorMode.GEOMETRIC_SUM,

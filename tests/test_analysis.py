@@ -272,6 +272,11 @@ class TestBinByTime:
         series = bin_by_time([], step=0.5)
         assert series.bins == () and series.excluded == ()
 
+    def test_step_too_small_for_a_sample_is_named(self):
+        assert bin_by_time([(1.5, 2.0)], step=1e-300).bins[0].count == 1
+        with pytest.raises(ValueError, match=r"step 5e-324 is too small for T 1\.5"):
+            bin_by_time([(1.5, 2.0)], step=5e-324)
+
     @given(
         st.lists(
             st.tuples(st.floats(min_value=0.0, max_value=500.0),
@@ -307,7 +312,7 @@ def build_trend_dataset():
 
 @pytest.fixture
 def one_level_table():
-    return ToughnessTable(1, (), (1,), 1, 1, DivisorMode.GEOMETRIC_SUM, (1,))
+    return ToughnessTable((), 1, 1, DivisorMode.GEOMETRIC_SUM, (1,))
 
 
 class TestTrend:
@@ -437,6 +442,14 @@ class TestFundingCorrelations:
         cards = [card_from_leadership("P1", 1.0), card_from_leadership("P2", 2.0)]
         rows, _ = funding_correlations(profiles_dataset(profiles), cards)
         assert all(r.r is None and r.p is None and r.mark == "" for r in rows)
+
+    def test_equal_funding_gets_a_blank_row(self):
+        profiles = [InvestigatorProfile(f"P{i}", "CN", 1, total_funding=10.0, currency="CNY")
+                    for i in range(3)]
+        cards = [card_from_leadership(f"P{i}", float(i + 1)) for i in range(3)]
+        rows, _ = funding_correlations(profiles_dataset(profiles), cards)
+        assert [(r.group, r.n, r.r, r.p, r.mark) for r in rows] == [
+            ("overall", 3, None, None, ""), ("1", 3, None, None, "")]
 
     def test_unfunded_and_unscored_cards_skipped(self):
         profiles = [

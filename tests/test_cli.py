@@ -125,6 +125,28 @@ class TestExitCodes:
         assert f"{pubs}:2: field larger than field limit" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("citations, impact", [("5", "1e-320"), ("1" * 400, "2.5")],
+                             ids=["quotient-inf", "citations-past-float"])
+    def test_paper_count_out_of_float_range_is_1(self, tmp_path, capsys, citations, impact):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("journal,year,total_citations,impact_factor\n"
+                          f"J1,2010,{citations},{impact}\n")
+        code = main(["toughness-build", "--corpus", str(corpus), "--levels", "1",
+                     "--out", str(tmp_path / "table.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: J1 (2010): paper count" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "table.csv").exists()
+
+    def test_step_too_small_for_a_sample_is_1(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*command_args("report-bins", dataset_dir, out), "--step", "5e-324"]) == 1
+        err = capsys.readouterr().err
+        assert "error: step 5e-324 is too small for T " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_toughness_build_takes_no_table(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["toughness-build", "--table", str(dataset_dir / "table.csv"),
@@ -424,6 +446,32 @@ class TestConfigFile:
         assert sorted(p.name for p in from_config.iterdir()) == names
         for name in names:
             assert (from_config / name).read_bytes() == (from_flags / name).read_bytes()
+
+    def test_exclude_t_list_acts_like_the_flag(self, dataset_dir, tmp_path):
+        # P0002 is a sole author, so its T is exactly 1.
+        root = write_inputs(tmp_path / "data", dataset_dir, [
+            PublicationRecord("p1", "P0002", 2010, "JA", 1, 1),
+            PublicationRecord("p2", "P0003", 2010, "JA", 3, 1),
+        ], [JournalYearIF("JA", 2010, 2.0)])
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"exclude_t": [1, 2.5]}))
+        runs = {}
+        for name, extra in (("config", ["--config", str(config)]),
+                            ("flags", ["--exclude-t", "1,2.5"])):
+            out = tmp_path / name
+            assert main([*command_args("report-bins", root, out), *extra]) == 0
+            runs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert runs["config"] == runs["flags"]
+        assert runs["flags"]["bins_excluded.csv"].count(b"in exclusion list") == 1
+
+    def test_list_for_an_untyped_option_is_2(self, dataset_dir, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"country": ["CN"]}))
+        out = tmp_path / "out"
+        assert main([*command_args("report-trend", dataset_dir, out),
+                     "--config", str(config)]) == 2
+        assert "config key country: expected one value" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCommandTable:

@@ -135,6 +135,14 @@ class TestStrictParsing:
     def write_lines(self, path, lines):
         path.write_text("\n".join(lines) + "\n")
 
+    def test_empty_file_is_missing_its_header(self, tmp_path):
+        path = tmp_path / "pubs.csv"
+        path.write_text("")
+        with pytest.raises(FileFormatError) as exc:
+            read_publications(path)
+        header = ",".join(fileio.PUBLICATIONS_HEADER)
+        assert exc.value.errors == [f"{path}: missing header {header}"]
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "pubs.csv"
         self.write_lines(path, ["paper,pi,year", "p1,P1,2010"])
@@ -269,9 +277,7 @@ class TestStrictParsing:
 class TestToughnessTableFile:
     def table(self):
         return ToughnessTable(
-            level_count=4,
             cutoffs=(20.0, 9.5, 4.25),
-            weights=(4, 3, 2, 1),
             base_count=7,
             total_papers=106,
             divisor_mode=DivisorMode.HALF_POW,
@@ -317,6 +323,20 @@ class TestToughnessTableFile:
             read_toughness_table(path)
         assert time.perf_counter() - started < 1.0
 
+    def test_non_integer_levels_is_bad_metadata(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_toughness_table(path, self.table())
+        path.write_text(path.read_text().replace("levels=4", "levels=x"))
+        with pytest.raises(FileFormatError, match="bad table metadata"):
+            read_toughness_table(path)
+
+    def test_rising_min_if_rejected(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_toughness_table(path, self.table())
+        path.write_text(path.read_text().replace("\n2,4.25\n", "\n2,40.25\n"))
+        with pytest.raises(FileFormatError, match="cutoffs must be non-increasing"):
+            read_toughness_table(path)
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "table.csv"
         write_toughness_table(path, self.table())
@@ -361,8 +381,7 @@ def toughness_tables(draw):
     cutoffs = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                             min_size=levels - 1, max_size=levels - 1))
     return ToughnessTable(
-        level_count=levels, cutoffs=tuple(sorted(cutoffs, reverse=True)),
-        weights=tuple(range(levels, 0, -1)), base_count=draw(COUNTS),
+        cutoffs=tuple(sorted(cutoffs, reverse=True)), base_count=draw(COUNTS),
         total_papers=draw(COUNTS), divisor_mode=draw(st.sampled_from(DivisorMode)),
         level_sizes=tuple(draw(st.lists(COUNTS, min_size=levels, max_size=levels))),
     )

@@ -38,6 +38,12 @@ class TestEstimatePaperCounts:
         with pytest.raises(ValueError):
             estimate_paper_counts([("J1", citations, impact)])
 
+    @pytest.mark.parametrize("citations,impact", [(5, 1e-320), (10**400, 2.5)],
+                             ids=["quotient-inf", "citations-past-float"])
+    def test_count_out_of_float_range_names_the_row(self, citations, impact):
+        with pytest.raises(ValueError, match=r"^J1 \(2010\): paper count .* float range"):
+            estimate_paper_counts([("J1 (2010)", citations, impact)])
+
 
 def distinct_if_corpus(total, start=10_000.0):
     """`total` single-paper rows with strictly decreasing impact factors."""
@@ -176,15 +182,19 @@ class TestWeightOf:
 
 class TestTableInvariants:
     def test_weights_must_descend_to_one(self):
-        with pytest.raises(ValueError):
-            ToughnessTable(2, (3.0,), (2, 2), 1, 3, DivisorMode.GEOMETRIC_SUM, (1, 2))
+        for levels in (1, 2, 5, 10):
+            table = build_table(distinct_if_corpus(2**levels - 1), level_count=levels)
+            assert table.weights == tuple(range(levels, 0, -1))
+            assert table.level_count == len(table.level_sizes) == levels
 
     def test_cutoffs_must_not_increase(self):
         with pytest.raises(ValueError):
-            ToughnessTable(
-                3, (1.0, 5.0), (3, 2, 1), 1, 7, DivisorMode.GEOMETRIC_SUM, (1, 2, 4)
-            )
+            ToughnessTable((1.0, 5.0), 1, 7, DivisorMode.GEOMETRIC_SUM, (1, 2, 4))
 
     def test_shape_mismatches_rejected(self):
         with pytest.raises(ValueError):
-            ToughnessTable(3, (5.0,), (3, 2, 1), 1, 7, DivisorMode.GEOMETRIC_SUM, (1, 2, 4))
+            ToughnessTable((5.0,), 1, 7, DivisorMode.GEOMETRIC_SUM, (1, 2, 4))
+
+    def test_table_without_levels_rejected(self):
+        with pytest.raises(ValueError):
+            ToughnessTable((), 0, 0, DivisorMode.GEOMETRIC_SUM, ())
