@@ -12,8 +12,8 @@ import math
 from bisect import bisect_right
 from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
-from itertools import repeat
-from operator import attrgetter, getitem, itemgetter
+from itertools import islice, repeat
+from operator import attrgetter, eq, getitem, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .credit import MAX_AUTHOR_COUNT
@@ -331,8 +331,12 @@ def validate_dataset(
 
     # Checked a column at a time, one temporary column after another; each
     # distinct (journal, year) is resolved once, and a journal with no
-    # entries resolves every year to None.
-    unique_ids = len(set(map(itemgetter(0), publications))) == len(publications)
+    # entries resolves every year to None. paper_ids are unique when no two
+    # neighbours of the sorted column are equal: a list of pointers, where
+    # a hash set of them would cost five times as much.
+    ids = sorted(map(itemgetter(0), publications))
+    unique_ids = not any(map(eq, ids, islice(ids, 1, None)))
+    del ids
     known_pis = profile_map.keys() >= set(map(itemgetter(1), publications))
     unlisted = _JournalYears([], [], any_prior_year)
     ifs = list(map(getitem,

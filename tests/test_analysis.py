@@ -346,6 +346,24 @@ class TestTrend:
         with pytest.raises(ValueError):
             trend(build_trend_dataset(), one_level_table, (2012, 2010))
 
+    def test_overflowing_year_sum_takes_the_halving_mean(self, one_level_table):
+        # Two sole authors at IF 1e308 in one year: each column of the year
+        # sums past the float range, so its mean comes from stats.mean's
+        # halving path over the packed rows.
+        publications = [PublicationRecord("p1", "P1", 2011, "JA", 1, 1),
+                        PublicationRecord("p2", "P2", 2011, "JA", 1, 1)]
+        journals = [JournalYearIF("JA", 2011, 1e308)]
+        profiles = [InvestigatorProfile("P1", "CN", 1), InvestigatorProfile("P2", "US", 1)]
+        dataset = validate_dataset(publications, journals, profiles)
+        series = trend(dataset, one_level_table, (2010, 2012))
+        point = series.points[1]
+        assert (point.year, point.n) == (2011, 2)
+        assert point.o_weighted == point.efficiency == point.leadership == 1e308
+        assert point.t_equiv == 1.0
+        for empty in (series.points[0], series.points[2]):
+            assert empty.n == 0
+            assert empty[2:] == (None,) * 4
+
     def test_matches_naive_regroup_oracle(self, two_level_table):
         # JA (IF 3.0) sits in the top level of two_level_table and weighs 2;
         # JB (IF 1.5) sits in the bottom level and weighs 1.

@@ -410,6 +410,39 @@ def _validate_row_by_row(publications, journals, profiles, fallback):
     return resolved, by_pi, warnings
 
 
+class TestDuplicatePaperIdsInAnyOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ids=st.lists(st.integers(0, 12), min_size=1, max_size=20),
+        pis=st.lists(st.sampled_from(["P1", "P2", "P3"]), min_size=20, max_size=20),
+        same_ends=st.booleans(),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_refused_exactly_when_an_id_repeats(self, ids, pis, same_ends, rng):
+        """Shuffled ids, spread across investigators, optionally with the
+        first row's id repeated on the last row: the sort finds a repeat
+        wherever it sits, and the errors are the row-by-row ones."""
+        rng.shuffle(ids)
+        if same_ends and len(ids) > 1:
+            ids[-1] = ids[0]
+        # Each record builds its own paper_id string, so repeats are equal
+        # values, not one shared object.
+        pubs = [PublicationRecord(f"p{k}", pi, 2000, "A", 2, 1)
+                for k, pi in zip(ids, pis)]
+        journals = [JournalYearIF("A", 2000, 1.5)]
+        profiles = [InvestigatorProfile(pi, "CN", 1) for pi in ("P1", "P2", "P3")]
+        expected = _validate_row_by_row(pubs, journals, profiles, IFFallback.OFF)
+        if len(set(ids)) == len(ids):
+            dataset = validate_dataset(pubs, journals, profiles)
+            assert list(dataset.resolved_if) == [f"p{k}" for k in ids]
+            return
+        with pytest.raises(DataValidationError) as err:
+            validate_dataset(pubs, journals, profiles)
+        assert err.value.errors == expected
+        assert {f"duplicate paper_id p{k}" for k in ids if ids.count(k) > 1} == set(
+            err.value.errors)
+
+
 class TestValidationMatchesRowByRow:
     @settings(max_examples=300, deadline=None)
     @given(
