@@ -91,13 +91,17 @@ def _parse_exclude(value) -> tuple[float, ...]:
 
 
 def _load_dataset(args: argparse.Namespace) -> ValidatedDataset:
-    publications = fileio.read_publications(args.publications)
+    """Read grants, journals, profiles, then publications, and validate them.
+
+    The grants are reduced to one total per investigator before the
+    publications, the largest input, are read; and no name here keeps the
+    publication list alive while validate_dataset copies it.
+    """
+    totals = {} if args.grants is None else aggregate_grants(fileio.read_grants(args.grants))
     journals = fileio.read_journals(args.journals)
-    profiles = fileio.read_profiles(args.profiles)
-    if args.grants is not None:
-        totals = aggregate_grants(fileio.read_grants(args.grants))
-        profiles = apply_funding(profiles, totals)
-    dataset = validate_dataset(publications, journals, profiles, args.if_fallback)
+    profiles = apply_funding(fileio.read_profiles(args.profiles), totals)
+    dataset = validate_dataset(fileio.read_publications(args.publications),
+                               journals, profiles, args.if_fallback)
     corresponding = sum(map(itemgetter(7), dataset.publications))  # is_corresponding
     log.info("publications: %d total, %d corresponding-author",
              len(dataset.publications), corresponding)
@@ -108,14 +112,18 @@ def _load_dataset(args: argparse.Namespace) -> ValidatedDataset:
 
 
 def _load(args: argparse.Namespace) -> tuple[ValidatedDataset, ToughnessTable]:
-    """The dataset, and the toughness table read from --table or built from --corpus."""
-    dataset = _load_dataset(args)
+    """The dataset, and the toughness table read from --table or built from --corpus.
+
+    The table comes first, so the corpus rows and their estimates are freed
+    before the dataset is read: the peak holds one stage, not both.
+    """
     if args.table is None:
-        return dataset, _build_table(args)
-    table = fileio.read_toughness_table(args.table)
-    log.info("toughness table: %d levels over %d papers (loaded)",
-             table.level_count, table.total_papers)
-    return dataset, table
+        table = _build_table(args)
+    else:
+        table = fileio.read_toughness_table(args.table)
+        log.info("toughness table: %d levels over %d papers (loaded)",
+                 table.level_count, table.total_papers)
+    return _load_dataset(args), table
 
 
 def _build_table(args: argparse.Namespace) -> ToughnessTable:

@@ -381,23 +381,31 @@ def validate_dataset(
 
 
 def aggregate_grants(grants: Iterable[GrantRecord]) -> dict[str, tuple[float, str]]:
-    """Total funding per investigator; mixed currencies for one PI are an error."""
-    totals: dict[str, tuple[float, str]] = {}
+    """Total funding per investigator; mixed currencies for one PI are an error.
+
+    Each total is one correctly rounded ``math.fsum`` of the investigator's
+    amounts in their first currency, so the order of the rows cannot change it.
+    """
+    amounts: dict[str, tuple[list[float], str]] = {}
     errors: list[str] = []
     for g in grants:
-        if g.pi_id in totals:
-            amount, currency = totals[g.pi_id]
+        if g.pi_id in amounts:
+            values, currency = amounts[g.pi_id]
             if currency != g.currency:
                 errors.append(
                     f"pi_id {g.pi_id}: grants in multiple currencies "
                     f"({currency}, {g.currency})"
                 )
                 continue
-            totals[g.pi_id] = (amount + g.amount, currency)
+            values.append(g.amount)
         else:
-            totals[g.pi_id] = (g.amount, g.currency)
-    errors += [f"pi_id {pi_id}: grant total overflows the float range"
-               for pi_id, (amount, _) in totals.items() if not math.isfinite(amount)]
+            amounts[g.pi_id] = ([g.amount], g.currency)
+    totals: dict[str, tuple[float, str]] = {}
+    for pi_id, (values, currency) in amounts.items():
+        try:
+            totals[pi_id] = (math.fsum(values), currency)
+        except OverflowError:
+            errors.append(f"pi_id {pi_id}: grant total overflows the float range")
     if errors:
         raise DataValidationError(sorted(set(errors)))
     return totals

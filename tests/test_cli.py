@@ -5,6 +5,7 @@ import csv
 import gc
 import io
 import json
+import logging
 import math
 import re
 import shutil
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leadindex import fileio
 from leadindex.cli import MAX_SPAN_YEARS, _parse_span, main
 from leadindex.fileio import write_journals, write_profiles, write_publications
 from leadindex.model import InvestigatorProfile, JournalYearIF, PublicationRecord
@@ -368,6 +370,60 @@ class TestScore:
                     "no paper with positive value") in err
             assert "Traceback" not in err
             assert not out.exists() or not any(out.iterdir())
+
+
+class TestLoadOrder:
+    """A scoring command reads its table source, then grants, journals,
+    profiles and publications, so each input is reduced before the next,
+    larger one is read."""
+
+    READERS = ("read_toughness_corpus", "read_toughness_table", "read_grants",
+               "read_journals", "read_profiles", "read_publications")
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The names of the fileio readers called, in call order."""
+        calls = []
+        for name in self.READERS:
+            def recording(path, _read=getattr(fileio, name), _name=name):
+                calls.append(_name)
+                return _read(path)
+            monkeypatch.setattr(fileio, name, recording)
+        return calls
+
+    @pytest.mark.parametrize("source, path, reader", [
+        ("--corpus", "toughness_corpus.csv", "read_toughness_corpus"),
+        ("--table", "table.csv", "read_toughness_table"),
+    ], ids=["corpus", "table"])
+    def test_table_source_then_grants_journals_profiles_publications(
+            self, dataset_dir, tmp_path, reads, caplog, source, path, reader):
+        caplog.set_level(logging.INFO, logger="leadindex")
+        assert main(["score", *dataset_flags(dataset_dir), source, str(dataset_dir / path),
+                     "--grants", str(dataset_dir / "grants.csv"),
+                     "--period", "2008:2013", "--out-dir", str(tmp_path)]) == 0
+        assert reads == [reader, "read_grants", "read_journals", "read_profiles",
+                         "read_publications"]
+        heads = [m.split(":")[0] for m in caplog.messages]
+        assert heads.index("toughness table") < heads.index("publications") \
+            < heads.index("profiles")
+
+    def test_bad_corpus_fails_before_publications_are_read(
+            self, dataset_dir, tmp_path, reads, capsys):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("journal,year,total_citations,impact_factor\n"
+                          "J1,2010,-5,1.0\n")
+        publications = tmp_path / "publications.csv"
+        header = (dataset_dir / "publications.csv").read_text().splitlines()[0]
+        publications.write_text(f"{header}\nX1,P0001,notayear,J0001,1,1,1,true\n")
+        assert main(["score", "--publications", str(publications),
+                     "--journals", str(dataset_dir / "journals.csv"),
+                     "--profiles", str(dataset_dir / "profiles.csv"),
+                     "--corpus", str(corpus), "--period", "2008:2013",
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{corpus}:2: total_citations" in err
+        assert str(publications) not in err
+        assert reads == ["read_toughness_corpus"]
 
 
 class TestConfigFile:

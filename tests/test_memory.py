@@ -1,13 +1,15 @@
-"""Traced peak memory of the two stages that hold a row per input item.
+"""Traced peak memory of the stages that hold a row per input item.
 
 validate_dataset checks paper_id uniqueness on a sorted list of the ids,
 and trend keeps five packed doubles per (investigator, year). Each bound
 here sits well under what a hash set of the ids, or a tuple of boxed
-floats per (investigator, year), would cost.
+floats per (investigator, year), would cost. A scoring command's load
+frees the corpus before it reads the dataset, so its peak is one stage's.
 """
 
 import tracemalloc
 
+from leadindex import cli, synth
 from leadindex.analysis import trend
 from leadindex.model import (
     InvestigatorProfile,
@@ -62,3 +64,25 @@ def test_trend_peak_per_investigator_year(two_level_table):
 
     assert [p.n for p in series.points] == [pis] * len(years)
     assert peak / (pis * len(years)) <= 80
+
+
+def test_load_peak_is_one_stage_not_table_plus_dataset(tmp_path):
+    # A corpus (500 journals x 20 years) with more rows than the ~8k publications.
+    config = synth.SynthConfig(seed=1, n_pis=400, n_journals=500, years=(2000, 2019),
+                               papers_per_pi_mean=20.0)
+    paths = synth.write_dataset(synth.generate(config), tmp_path)
+    args = cli.build_parser().parse_args([
+        "score", "--publications", str(paths["publications"]),
+        "--journals", str(paths["journals"]), "--profiles", str(paths["profiles"]),
+        "--grants", str(paths["grants"]), "--corpus", str(paths["toughness_corpus"]),
+        "--period", "2000:2019",
+    ])
+
+    dataset_peak, _ = traced_peak(cli._load_dataset, args)
+    table_peak, _ = traced_peak(cli._build_table, args)
+    load_peak, (dataset, _) = traced_peak(cli._load, args)
+
+    assert len(dataset.publications) > 0
+    # Built before the dataset is read, the table adds only what outlives
+    # its stage; built after, its whole scratch would sit on the dataset.
+    assert load_peak <= dataset_peak + table_peak / 4

@@ -352,6 +352,14 @@ class TestGrants:
             aggregate_grants(grants)
         assert err.value.errors == ["pi_id P1: grant total overflows the float range"]
 
+    def test_total_does_not_depend_on_row_order(self):
+        # Added one at a time from 1e16, each 1.0 is half an ulp and rounds
+        # away; the exact sum is 1e16 + 2, which is a float.
+        amounts = [1e16, 1.0, 1.0]
+        for order in (amounts, amounts[::-1]):
+            grants = [GrantRecord("P1", 2010 + i, a, "CNY") for i, a in enumerate(order)]
+            assert aggregate_grants(grants) == {"P1": (1.0000000000000002e16, "CNY")}
+
     def test_apply_funding_overrides_profile(self):
         profiles = [
             InvestigatorProfile("P1", "CN", 1, total_funding=1.0, currency="CNY"),
