@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import enum
 
-# Largest author list a publication record may name; also the search limit
-# of group_size_for_credit.
+# Largest author list a publication record may name and a_index accepts, so
+# the harmonic cache below holds at most this many entries plus one; also the
+# search limit of group_size_for_credit.
 MAX_AUTHOR_COUNT = 100_000
 
 # Prefix cache of harmonic numbers, extended lazily as larger k are asked for.
@@ -62,14 +63,19 @@ def a_index(author_count: int, credit_position: int, tie_span: int = 1) -> float
     following positions and receives the mean of the tied shares. The result
     lies in (0, 1]; the shares of all positions (tie_span 1) sum to 1.
 
-    Raises ValueError if the position or span falls outside the author list.
+    Raises ValueError, in PublicationRecord's words, for an author count
+    outside 1..MAX_AUTHOR_COUNT or a position or span outside the list.
     """
     n, i, s = author_count, credit_position, tie_span
     if n < 1:
         raise ValueError(f"author_count must be >= 1, got {n}")
+    if n > MAX_AUTHOR_COUNT:
+        raise ValueError(f"author_count must be <= {MAX_AUTHOR_COUNT}, got {n}")
     if not 1 <= i <= n:
         raise ValueError(f"credit_position {i} out of range 1..{n}")
-    if s < 1 or i + s - 1 > n:
+    if s < 1:
+        raise ValueError(f"tie_span must be >= 1, got {s}")
+    if i + s - 1 > n:
         raise ValueError(f"tie_span {s} at position {i} exceeds author_count {n}")
     h_n = _harmonic(n)
     total = 0.0

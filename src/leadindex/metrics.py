@@ -6,16 +6,18 @@ paper's value by the investigator's credit share and normalizes by O, so a
 sole author always has T = 1 and larger teams push T up. Efficiency is
 E = O/T and leadership is their geometric mean L = sqrt(O*E) = O/sqrt(T).
 
-All sums use math.fsum so the algebraic identities between the three L
-formulations survive large corpora.
+The public functions are the one kernel: score_all and trend call them on
+their (year, IF, weighted IF, share) tuples, as a caller may on a list of
+ScoredPapers. Each sum is one math.fsum, so the algebraic identities
+between the three L formulations survive large corpora.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from operator import itemgetter, truediv
+from typing import Iterable, NamedTuple, Optional
 
 from .credit import CreditScenario, scenario_share
 from .errors import UndefinedMetricError
@@ -23,54 +25,64 @@ from .model import ScoreCard, ValidatedDataset
 from .toughness import ToughnessTable, weighted_if
 
 
-@dataclass(frozen=True)
-class ScoredPaper:
-    """One paper as it enters an investigator's metrics: the library type.
-
-    ``value_raw`` is the journal impact factor, ``value`` its
-    toughness-weighted counterpart, ``a`` the investigator's credit share.
-    The functions below take these; the scoring pipeline itself values
-    papers as plain ``(year, value_raw, value, a)`` tuples.
-    """
-
+class _ScoredPaperFields(NamedTuple):
     paper_id: str
     value_raw: float
     value: float
     a: float
 
-    def __post_init__(self):
-        if self.value_raw < 0 or self.value < 0:
-            raise ValueError("paper values must be >= 0")
-        if not 0 < self.a <= 1:
-            raise ValueError(f"credit share must be in (0, 1], got {self.a}")
-        if self.value == 0 and self.value_raw != 0:
+
+class ScoredPaper(_ScoredPaperFields):
+    """One paper as it enters an investigator's metrics.
+
+    ``value_raw`` is the journal impact factor, ``value`` its
+    toughness-weighted counterpart, ``a`` the investigator's credit share.
+    Items 1-3 sit where the scoring pipeline's ``(year, IF, weighted IF,
+    share)`` tuples hold them, so the sums below take either shape. As with
+    model's records, ``_replace`` and ``_make`` skip the checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, paper_id: str, value_raw: float, value: float, a: float):
+        if not all(math.isfinite(v) and v >= 0 for v in (value_raw, value)):
+            raise ValueError("paper values must be finite and >= 0")
+        if not 0 < a <= 1:
+            raise ValueError(f"credit share must be in (0, 1], got {a}")
+        if value == 0 and value_raw != 0:
             raise ValueError("weighted value can only vanish with the raw value")
+        return tuple.__new__(cls, (paper_id, value_raw, value, a))
 
 
 def output_raw(papers: Iterable[ScoredPaper]) -> float:
-    """Unweighted output: sum of raw impact factors."""
-    return math.fsum(p.value_raw for p in papers)
+    """Unweighted output O': sum of item 1 (raw IF) of ScoredPapers or pipeline tuples."""
+    return math.fsum(map(itemgetter(1), papers))
 
 
 def output_weighted(papers: Iterable[ScoredPaper]) -> float:
-    """Output O: sum of toughness-weighted impact factors."""
-    return math.fsum(p.value for p in papers)
+    """Output O: sum of item 2 (weighted IF) of ScoredPapers or pipeline tuples."""
+    return math.fsum(map(itemgetter(2), papers))
+
+
+def _time(papers: list, o: float) -> float:
+    """sum (v_j / a_j) / O over papers whose output O is already summed."""
+    return math.fsum(map(truediv, map(itemgetter(2), papers), map(itemgetter(3), papers))) / o
 
 
 def equivalent_time(papers: Iterable[ScoredPaper]) -> float:
     """Equivalent managed time T = (1 / sum v_j) * sum (v_j / a_j).
 
+    v_j and a_j are items 2 and 3 of ScoredPapers or pipeline tuples.
     Scale-invariant in the values; equals 1 exactly when every paper is
-    sole-authored. Undefined (UndefinedMetricError) when all values are
-    zero.
+    sole-authored. Undefined (UndefinedMetricError) when all values are zero.
     """
     papers = list(papers)
-    total = math.fsum(p.value for p in papers)
+    total = output_weighted(papers)
     if total <= 0:
         raise UndefinedMetricError(
             "equivalent time undefined: no paper with positive value"
         )
-    return math.fsum(p.value / p.a for p in papers) / total
+    return _time(papers, total)
 
 
 def efficiency(o: float, t: float) -> float:
@@ -148,15 +160,15 @@ def _metrics(
     """
     start, end = period
     try:
-        o_prime = math.fsum(p[1] for p in papers)
-        o = math.fsum(p[2] for p in papers)
+        o_prime = output_raw(papers)
+        o = output_weighted(papers)
         if o == 0:
             raise UndefinedMetricError(
                 f"investigator {pi_id}: equivalent time undefined in {start}-{end}: "
                 "no paper with positive value"
             )
-        t = math.fsum(p[2] / p[3] for p in papers) / o
-        metrics = (o_prime, o, t, o / t, o / math.sqrt(t))
+        t = _time(papers, o)
+        metrics = (o_prime, o, t, efficiency(o, t), o / math.sqrt(t))
     except OverflowError:  # fsum of finite values beyond the float range
         metrics = (math.inf,)
     if not all(map(math.isfinite, metrics)):

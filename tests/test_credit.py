@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leadindex.credit import CreditScenario, a_index, group_size_for_credit, scenario_share
+from leadindex import credit
+from leadindex.credit import (
+    MAX_AUTHOR_COUNT,
+    CreditScenario,
+    a_index,
+    group_size_for_credit,
+    scenario_share,
+)
 
 
 def exact_share(n, i, s=1):
@@ -65,6 +72,17 @@ def test_shares_strictly_decrease_down_the_list(n):
 def test_rejects_out_of_range_positions(n, i, s):
     with pytest.raises(ValueError):
         a_index(n, i, s)
+
+
+@pytest.mark.parametrize("n,s,message", [
+    (MAX_AUTHOR_COUNT + 1, 1, r"^author_count must be <= 100000, got 100001$"),
+    (5, 0, r"^tie_span must be >= 1, got 0$"),
+])
+def test_refusals_use_the_record_texts_and_leave_the_cache(n, s, message):
+    cached = len(credit._HARMONIC)
+    with pytest.raises(ValueError, match=message):
+        a_index(n, 1, s)
+    assert len(credit._HARMONIC) == cached
 
 
 def test_group_size_for_a_fifth_is_seventeen():

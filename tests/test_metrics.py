@@ -58,6 +58,12 @@ class TestScoredPaper:
         with pytest.raises(ValueError):
             paper(1.0, 1.2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_values_must_be_finite(self, bad):
+        for raw, value in ((bad, bad), (1.0, bad), (bad, 1.0)):
+            with pytest.raises(ValueError, match="^paper values must be finite and >= 0$"):
+                ScoredPaper("x", raw, value, 1.0)
+
     def test_weighted_value_zero_implies_raw_zero(self):
         with pytest.raises(ValueError):
             ScoredPaper("x", 2.0, 0.0, 1.0)
@@ -173,7 +179,7 @@ valued_papers = st.lists(
 
 
 class TestKernel:
-    """The pipeline's tuple kernel against the public functions."""
+    """_metrics, the pipeline's kernel, runs the public functions on its tuples."""
 
     @given(valued_papers)
     @settings(max_examples=100)
@@ -182,9 +188,10 @@ class TestKernel:
         papers = [ScoredPaper(f"p{k}", raw, value, a)
                   for k, (_, raw, value, a) in enumerate(tuples)]
         o_prime, o, t, e, lead = _metrics("P1", (2010, 2010), tuples)
-        assert o_prime == output_raw(papers)
-        assert o == output_weighted(papers)
-        assert t == equivalent_time(papers)
+        for shape in (papers, tuples):
+            assert o_prime == output_raw(shape)
+            assert o == output_weighted(shape)
+            assert t == equivalent_time(shape)
         assert t >= 1.0
         assert e == efficiency(o, t)
         assert lead == pytest.approx(leadership(o, e), rel=1e-14)
@@ -195,6 +202,21 @@ class TestKernel:
                            match=r"^investigator P7: equivalent time undefined in 2010-2012: "
                                  r"no paper with positive value$"):
             _metrics("P7", (2010, 2012), [(2010, 0.0, 0.0, 0.5), (2011, 0.0, 0.0, 1.0)])
+
+    def test_score_all_and_trend_run_the_public_sums(
+            self, small_dataset, two_level_table, monkeypatch):
+        calls = []
+
+        def counted(papers):
+            calls.append(papers)
+            return output_weighted(papers)
+
+        monkeypatch.setattr(metrics, "output_weighted", counted)
+        cards = score_all(small_dataset, (2010, 2011), two_level_table)
+        assert len(calls) == sum(c.scored for c in cards) > 0
+        calls.clear()
+        series = trend(small_dataset, two_level_table, (2010, 2011))
+        assert len(calls) == sum(p.n for p in series.points) > 0
 
 
 def card_of(dataset, pi_id, period, table, scenario=CreditScenario.RANKED):
