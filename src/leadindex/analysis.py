@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -277,10 +278,6 @@ def trend(
         if (country is None or dataset.profiles[pid].country == country)
         and (tier is None or dataset.profiles[pid].tier == tier)
     ]
-
-    # array is an extension module of its own; imported here, only the
-    # commands that run a trend load it, and the others keep ~0.1 MB less RSS.
-    from array import array
 
     # One pass over each investigator's papers values each once; every
     # (investigator, year) keeps only its (O', O, T, E, L) as five packed

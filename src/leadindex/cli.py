@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import sys
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -30,7 +29,7 @@ from .model import (
     ValidatedDataset,
     aggregate_grants,
     apply_funding,
-    validate_dataset,
+    validate_columns,
 )
 from .toughness import DivisorMode, ToughnessTable, build_table, estimate_paper_counts
 
@@ -94,17 +93,17 @@ def _load_dataset(args: argparse.Namespace) -> ValidatedDataset:
     """Read grants, journals, profiles, then publications, and validate them.
 
     The grants are reduced to one total per investigator before the
-    publications, the largest input, are read; and no name here keeps the
-    publication list alive while validate_dataset copies it.
+    publications, the largest input, are read. The publications stay the
+    columns fileio reads; no record is built for them.
     """
     totals = {} if args.grants is None else aggregate_grants(fileio.read_grants(args.grants))
     journals = fileio.read_journals(args.journals)
     profiles = apply_funding(fileio.read_profiles(args.profiles), totals)
-    dataset = validate_dataset(fileio.read_publications(args.publications),
+    dataset = validate_columns(fileio.read_publication_columns(args.publications),
                                journals, profiles, args.if_fallback)
-    corresponding = sum(map(itemgetter(7), dataset.publications))  # is_corresponding
+    paper_ids, *_, corresponding = dataset.columns
     log.info("publications: %d total, %d corresponding-author",
-             len(dataset.publications), corresponding)
+             len(paper_ids), sum(corresponding))
     log.info("profiles: %d investigators", len(dataset.profiles))
     for warning in dataset.warnings:
         log.info("note: %s", warning)

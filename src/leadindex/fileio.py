@@ -15,7 +15,7 @@ import re
 from itertools import chain, islice, repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import FileFormatError
 from .model import (
@@ -25,6 +25,7 @@ from .model import (
     JournalYearIF,
     PublicationRecord,
     Rank,
+    check_publication_columns,
 )
 from .toughness import DivisorMode, ToughnessTable
 
@@ -35,9 +36,9 @@ _TABLE_VERSION = 1
 
 _FLOAT_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 
-# Data lines per chunk of _parse_rows' columnar path.
+# Data lines per chunk of _parse_columns' columnar path.
 _CHUNK = 2048
-# Most entries per column memo in _parse_rows. Years, journals, author
+# Most entries per column memo in _parse_columns. Years, journals, author
 # counts and impact factors repeat down a column and fit many times over.
 # Text is stored until the bound, so repeated text shares one string. The
 # columnar path stores nothing from a chunk where no text cell repeats
@@ -147,8 +148,43 @@ def _tuple(*values):
     return values
 
 
+class _Result(NamedTuple):
+    """What _parse_columns builds: ``width`` result columns.
+
+    ``row(*values)`` gives one row's item of each result column, and
+    ``chunk(columns)`` the result columns of a chunk's value columns. Both
+    raise ValueError for a row a record refuses.
+    """
+
+    width: int
+    row: Callable
+    chunk: Callable
+
+
+def _records(make) -> _Result:
+    """One result column, holding ``make(*values)`` of each row."""
+    return _Result(1, lambda *values: (make(*values),),
+                   lambda columns: [list(map(make, *columns))])
+
+
+def _checked_publications(columns: list) -> list:
+    check_publication_columns(columns)
+    return columns
+
+
+# The publications as their value columns. A row goes through
+# PublicationRecord, whose items are its values; a chunk's columns are
+# checked once per distinct key, and no record is built.
+_PUBLICATION_COLUMNS = _Result(len(_PUBLICATIONS), PublicationRecord, _checked_publications)
+
+
 def _parse_rows(path: Pathish, f, columns, make, header_line: int = 1) -> list:
-    """Check the header line of ``f``, then build ``make(*values)`` per data row.
+    """``make(*values)`` of each data row of ``f``, as _parse_columns reads them."""
+    return _parse_columns(path, f, columns, _records(make), header_line)[0]
+
+
+def _parse_columns(path: Pathish, f, columns, result: _Result, header_line: int = 1) -> list:
+    """Check the header line of ``f``, then build the result columns of its data rows.
 
     Every bad row is reported as ``path:line: ...``, at the line the row
     starts on, naming its first bad column from the left; all of them are
@@ -175,17 +211,18 @@ def _parse_rows(path: Pathish, f, columns, make, header_line: int = 1) -> list:
     # Each column's memo maps cell text to its value; a bad cell raises
     # before it is stored, so it is reported on every line it appears on.
     memos = [(i, name, parse, {}) for i, (name, parse) in enumerate(columns)]
-    records = []
+    out = [[] for _ in range(result.width)]
     start = reader.line_num + header_line  # file line the next row starts on
     lines = []
     # A blank line is a row of no cells to csv.reader, which only its comma
     # count tells apart from a row of one empty cell.
     while width > 1:
         lines = list(islice(f, _CHUNK))
-        chunk = _columnar(lines, memos, make) if lines else None
+        chunk = _columnar(lines, memos, result.chunk) if lines else None
         if chunk is None:
             break
-        records += chunk
+        for column, part in zip(out, chunk):
+            column += part
         start += len(lines)
 
     errors = []
@@ -207,7 +244,8 @@ def _parse_rows(path: Pathish, f, columns, make, header_line: int = 1) -> list:
                         if len(memo) < _MEMO_LIMIT:
                             memo[text] = value
                     row[i] = value
-                records.append(make(*row))
+                for column, item in zip(out, result.row(*row)):
+                    column.append(item)
             except ValueError as exc:  # _RowError or model invariant violation
                 errors.append(f"{path}:{line}: {exc}")
     except csv.Error as exc:  # such as a cell over csv.field_size_limit()
@@ -215,11 +253,11 @@ def _parse_rows(path: Pathish, f, columns, make, header_line: int = 1) -> list:
         errors.append(f"{path}:{start}: {exc}")
     if errors:
         raise FileFormatError(errors)
-    return records
+    return out
 
 
-def _columnar(lines: list, memos, make) -> list | None:
-    """The records of ``lines``, one row per line, parsed a column at a time.
+def _columnar(lines: list, memos, chunk) -> list | None:
+    """``chunk`` of the value columns of ``lines``, one row per line, parsed a column at a time.
 
     None when csv.reader might read the lines otherwise (a quote, a lone
     carriage return, a line of the wrong field count, a cell that may pass
@@ -264,7 +302,7 @@ def _columnar(lines: list, memos, make) -> list | None:
                                  for cell in new})
                     col = list(map(memo.__getitem__, col))
             cols.append(col)
-        return list(map(make, *cols))
+        return chunk(cols)
     except ValueError:  # _RowError or model invariant violation
         return None
 
@@ -276,6 +314,16 @@ def _read_csv(path: Pathish, columns, make) -> list:
 
 def read_publications(path: Pathish) -> list[PublicationRecord]:
     return _read_csv(path, _PUBLICATIONS, PublicationRecord)
+
+
+def read_publication_columns(path: Pathish) -> list[list]:
+    """The publications as one list per PublicationRecord field, in field order.
+
+    The rows are checked as read_publications checks them, with the same
+    errors, but no record is kept: model.validate_columns takes the lists.
+    """
+    with open(path, newline="", encoding="utf-8") as f:
+        return _parse_columns(path, f, _PUBLICATIONS, _PUBLICATION_COLUMNS)
 
 
 def read_journals(path: Pathish) -> list[JournalYearIF]:

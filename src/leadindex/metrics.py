@@ -54,19 +54,31 @@ class ScoredPaper(_ScoredPaperFields):
         return tuple.__new__(cls, (paper_id, value_raw, value, a))
 
 
+def _fsum(values: Iterable[float], name: str, divisor: float = 1.0) -> float:
+    """math.fsum(values) / divisor; a ValueError naming it when that is not finite."""
+    try:
+        total = math.fsum(values) / divisor
+    except OverflowError:  # finite values summing beyond the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"{name} leaves the float range")
+    return total
+
+
 def output_raw(papers: Iterable[ScoredPaper]) -> float:
     """Unweighted output O': sum of item 1 (raw IF) of ScoredPapers or pipeline tuples."""
-    return math.fsum(map(itemgetter(1), papers))
+    return _fsum(map(itemgetter(1), papers), "output O'")
 
 
 def output_weighted(papers: Iterable[ScoredPaper]) -> float:
     """Output O: sum of item 2 (weighted IF) of ScoredPapers or pipeline tuples."""
-    return math.fsum(map(itemgetter(2), papers))
+    return _fsum(map(itemgetter(2), papers), "output O")
 
 
 def _time(papers: list, o: float) -> float:
     """sum (v_j / a_j) / O over papers whose output O is already summed."""
-    return math.fsum(map(truediv, map(itemgetter(2), papers), map(itemgetter(3), papers))) / o
+    return _fsum(map(truediv, map(itemgetter(2), papers), map(itemgetter(3), papers)),
+                 "equivalent time T", o)
 
 
 def equivalent_time(papers: Iterable[ScoredPaper]) -> float:
@@ -74,7 +86,8 @@ def equivalent_time(papers: Iterable[ScoredPaper]) -> float:
 
     v_j and a_j are items 2 and 3 of ScoredPapers or pipeline tuples.
     Scale-invariant in the values; equals 1 exactly when every paper is
-    sole-authored. Undefined (UndefinedMetricError) when all values are zero.
+    sole-authored. Undefined (UndefinedMetricError) when all values are zero;
+    a ValueError names O or T when it leaves the float range.
     """
     papers = list(papers)
     total = output_weighted(papers)
@@ -128,20 +141,24 @@ def _valuer(dataset: ValidatedDataset, table: ToughnessTable, scenario: CreditSc
     """
     weighted: dict[float, float] = {}
     shares: dict[tuple[int, int, int], float] = {}
+    _, _, years, _, counts, positions, spans, _ = dataset.columns
+    ifs, by_pi = dataset._ifs, dataset._by_pi
 
     def valued(pi_id: str, period: tuple[int, int]) -> list[tuple[int, float, float, float]]:
         start, end = period
         papers = []
-        for (_, _, year, _, n, i, s, _), raw in dataset._papers_with_if(pi_id):
+        for k in by_pi.get(pi_id, ()):
+            year = years[k]
             if not start <= year <= end:
                 continue
+            raw = ifs[k]
             value = weighted.get(raw)
             if value is None:
                 value = weighted[raw] = weighted_if(table, raw)
-            key = (n, i, s)
+            key = (counts[k], positions[k], spans[k])
             share = shares.get(key)
             if share is None:
-                share = shares[key] = scenario_share(n, i, s, scenario)
+                share = shares[key] = scenario_share(*key, scenario)
             papers.append((year, raw, value, share))
         return papers
 
@@ -169,7 +186,7 @@ def _metrics(
             )
         t = _time(papers, o)
         metrics = (o_prime, o, t, efficiency(o, t), o / math.sqrt(t))
-    except OverflowError:  # fsum of finite values beyond the float range
+    except ValueError:  # a sum beyond the float range, named for one list of papers
         metrics = (math.inf,)
     if not all(map(math.isfinite, metrics)):
         raise ValueError(f"investigator {pi_id}: non-finite metric in {start}-{end}")

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from operator import attrgetter, eq, getitem, itemgetter
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .credit import MAX_AUTHOR_COUNT
 from .errors import DataValidationError
@@ -73,30 +74,55 @@ class PublicationRecord(_PublicationFields):
     def __new__(cls, paper_id: str, pi_id: str, year: int, journal: str,
                 author_count: int, credit_position: int, tie_span: int = 1,
                 is_corresponding: bool = True):
-        if not paper_id:
-            raise ValueError("paper_id must be non-empty")
-        if not pi_id:
-            raise ValueError("pi_id must be non-empty")
-        if not journal:
-            raise ValueError("journal must be non-empty")
-        if author_count < 1:
-            raise ValueError(f"author_count must be >= 1, got {author_count}")
-        if author_count > MAX_AUTHOR_COUNT:
-            raise ValueError(
-                f"author_count must be <= {MAX_AUTHOR_COUNT}, got {author_count}")
-        if not 1 <= credit_position <= author_count:
-            raise ValueError(
-                f"credit_position {credit_position} out of range 1..{author_count}"
-            )
-        if tie_span < 1:
-            raise ValueError(f"tie_span must be >= 1, got {tie_span}")
-        if credit_position + tie_span - 1 > author_count:
-            raise ValueError(
-                f"tie_span {tie_span} at position {credit_position} "
-                f"exceeds author_count {author_count}"
-            )
+        if not (paper_id and pi_id and journal):
+            check_text("paper_id", paper_id)
+            check_text("pi_id", pi_id)
+            check_text("journal", journal)
+        check_credit(author_count, credit_position, tie_span)
         return tuple.__new__(cls, (paper_id, pi_id, year, journal, author_count,
                                    credit_position, tie_span, is_corresponding))
+
+
+def check_text(name: str, value: str) -> None:
+    """A record's text field must be non-empty."""
+    if not value:
+        raise ValueError(f"{name} must be non-empty")
+
+
+def check_credit(author_count: int, credit_position: int, tie_span: int) -> None:
+    """A publication's credit triple: 1 <= author_count <= MAX_AUTHOR_COUNT, and
+    the tie of tie_span >= 1 positions from credit_position fits in the author list."""
+    if author_count < 1:
+        raise ValueError(f"author_count must be >= 1, got {author_count}")
+    if author_count > MAX_AUTHOR_COUNT:
+        raise ValueError(
+            f"author_count must be <= {MAX_AUTHOR_COUNT}, got {author_count}")
+    if not 1 <= credit_position <= author_count:
+        raise ValueError(
+            f"credit_position {credit_position} out of range 1..{author_count}"
+        )
+    if tie_span < 1:
+        raise ValueError(f"tie_span must be >= 1, got {tie_span}")
+    if credit_position + tie_span - 1 > author_count:
+        raise ValueError(
+            f"tie_span {tie_span} at position {credit_position} "
+            f"exceeds author_count {author_count}"
+        )
+
+
+def check_publication_columns(columns: Sequence[list]) -> None:
+    """PublicationRecord's checks over its eight columns, in field order.
+
+    Each text column is checked at once, and each distinct credit triple
+    once. Raises ValueError if any row would be refused, not necessarily
+    with the message the row's own constructor would give.
+    """
+    paper_ids, pi_ids, _, journals, author_counts, positions, spans, _ = columns
+    for name, column in (("paper_id", paper_ids), ("pi_id", pi_ids), ("journal", journals)):
+        if not all(column):
+            check_text(name, "")
+    for triple in set(zip(author_counts, positions, spans)):
+        check_credit(*triple)
 
 
 class _JournalYearIFFields(NamedTuple):
@@ -217,41 +243,43 @@ class ScoreCard:
 
 @dataclass(frozen=True)
 class ValidatedDataset:
-    """Cross-checked analysis inputs with impact factors resolved per paper."""
+    """Cross-checked analysis inputs with impact factors resolved per paper.
 
-    publications: tuple[PublicationRecord, ...]
+    ``columns`` holds the publications as one list per PublicationRecord
+    field, in field order, each in input order. Scoring reads them through
+    per-investigator row indices; the records are built only when
+    ``publications`` is read.
+    """
+
+    columns: tuple[list, ...]
     profiles: Mapping[str, InvestigatorProfile]
     _: KW_ONLY
     warnings: tuple[str, ...] = ()
-    # Per investigator, its corresponding records in input order, and their
-    # impact factors in the same order.
-    _by_pi: Mapping[str, tuple[list[PublicationRecord], list[float]]] = field(
-        default_factory=dict, compare=False, repr=False)
-    # Per journal, its impact factor by each year a publication names;
-    # resolved_if reads it.
-    _impact: Mapping[str, Mapping[int, float]] = field(
-        default_factory=dict, compare=False, repr=False)
+    # The impact factor of each row.
+    _ifs: list[float] = field(default_factory=list, compare=False, repr=False)
+    # Per investigator, the ascending row indices of its corresponding papers.
+    _by_pi: Mapping[str, array] = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def publications(self) -> tuple[PublicationRecord, ...]:
+        """The records in input order, built on first read; no CLI command reads them."""
+        return tuple(map(PublicationRecord._make, zip(*self.columns)))
 
     @cached_property
     def resolved_if(self) -> Mapping[str, float]:
         """Impact factor per paper_id, built on first read; scoring does not read it."""
-        impact = self._impact
-        return {r.paper_id: impact[r.journal][r.year] for r in self.publications}
+        return dict(zip(self.columns[0], self._ifs))
 
     def corresponding_papers(
         self, pi_id: str, period: Optional[tuple[int, int]] = None
     ) -> list[PublicationRecord]:
         """Scoring-eligible records of one investigator, optionally by period."""
-        records, _ = self._by_pi.get(pi_id, ((), ()))
-        if period is None:
-            return list(records)
-        start, end = period
-        return [r for r in records if start <= r.year <= end]
-
-    def _papers_with_if(self, pi_id: str) -> Iterable[tuple[PublicationRecord, float]]:
-        """(record, impact factor) of each scoring-eligible record of one investigator."""
-        records, ifs = self._by_pi.get(pi_id, ((), ()))
-        return zip(records, ifs)
+        rows = self._by_pi.get(pi_id, ())
+        if period is not None:
+            start, end = period
+            years = self.columns[2]
+            rows = [k for k in rows if start <= years[k] <= end]
+        return [PublicationRecord._make(column[k] for column in self.columns) for k in rows]
 
     @property
     def pi_ids(self) -> list[str]:
@@ -304,8 +332,34 @@ def validate_dataset(
 
     Non-corresponding publications are kept in the dataset (they never
     enter scoring) and show up in the warnings.
+
+    The records are split into the dataset's columns, which cost a pointer
+    per field and record beside the caller's records; validate_columns
+    takes columns as fileio.read_publication_columns reads them.
     """
-    publications = tuple(publications)
+    return validate_columns(_columns(publications), journals, profiles, fallback)
+
+
+def _columns(publications: Iterable[PublicationRecord]) -> list[list]:
+    """One list per PublicationRecord field, in field order.
+
+    The tuple of the records is freed on return, before validation runs.
+    """
+    records = tuple(publications)
+    return [list(map(itemgetter(k), records)) for k in range(len(PublicationRecord._fields))]
+
+
+def validate_columns(
+    columns: Sequence[list],
+    journals: Iterable[JournalYearIF],
+    profiles: Iterable[InvestigatorProfile],
+    fallback: IFFallback = IFFallback.OFF,
+) -> ValidatedDataset:
+    """validate_dataset over publications given as columns, which the dataset keeps.
+
+    ``columns`` holds one list per PublicationRecord field, in field order,
+    whose rows each pass PublicationRecord's checks.
+    """
     errors: list[str] = []
     warnings: list[str] = []
 
@@ -329,54 +383,52 @@ def validate_dataset(
         else:
             profile_map[p.pi_id] = p
 
-    # Checked a column at a time, one temporary column after another; each
-    # distinct (journal, year) is resolved once, and a journal with no
-    # entries resolves every year to None. paper_ids are unique when no two
-    # neighbours of the sorted column are equal: a list of pointers, where
-    # a hash set of them would cost five times as much.
-    ids = sorted(map(itemgetter(0), publications))
+    # Checked a column at a time; each distinct (journal, year) is resolved
+    # once, and a journal with no entries resolves every year to None.
+    # paper_ids are unique when no two neighbours of the sorted column are
+    # equal: a list of pointers, where a hash set of them would cost five
+    # times as much.
+    paper_ids, pi_ids, years, journal_names, _, _, _, corresponding = columns
+    ids = sorted(paper_ids)
     unique_ids = not any(map(eq, ids, islice(ids, 1, None)))
     del ids
-    known_pis = profile_map.keys() >= set(map(itemgetter(1), publications))
+    known_pis = profile_map.keys() >= set(pi_ids)
     unlisted = _JournalYears([], [], any_prior_year)
-    ifs = list(map(getitem,
-                   map(impact.get, map(itemgetter(3), publications), repeat(unlisted)),
-                   map(itemgetter(2), publications)))
+    ifs = list(map(getitem, map(impact.get, journal_names, repeat(unlisted)), years))
     if errors or not unique_ids or not known_pis or None in ifs:
         # Row by row, to name each bad paper.
         seen_papers: set[str] = set()
-        for rec, value in zip(publications, ifs):
-            if rec.paper_id in seen_papers:
-                errors.append(f"duplicate paper_id {rec.paper_id}")
+        for paper_id, pi_id, year, journal, value in zip(
+                paper_ids, pi_ids, years, journal_names, ifs):
+            if paper_id in seen_papers:
+                errors.append(f"duplicate paper_id {paper_id}")
                 continue
-            seen_papers.add(rec.paper_id)
-            if rec.pi_id not in profile_map:
-                errors.append(f"paper {rec.paper_id}: unknown pi_id {rec.pi_id}")
+            seen_papers.add(paper_id)
+            if pi_id not in profile_map:
+                errors.append(f"paper {paper_id}: unknown pi_id {pi_id}")
             if value is None:
-                errors.append(
-                    f"paper {rec.paper_id}: no impact factor for {rec.journal} {rec.year}"
-                )
+                errors.append(f"paper {paper_id}: no impact factor for {journal} {year}")
         raise DataValidationError(sorted(errors))
 
-    by_pi: dict[str, tuple[list[PublicationRecord], list[float]]] = {}
-    for rec, value in zip(publications, ifs):
-        if rec[7]:  # is_corresponding
-            pi_records, pi_ifs = by_pi.setdefault(rec[1], ([], []))
-            pi_records.append(rec)
-            pi_ifs.append(value)
+    by_pi: dict[str, array] = {}
+    for k, pi_id in compress(enumerate(pi_ids), corresponding):
+        rows = by_pi.get(pi_id)
+        if rows is None:
+            rows = by_pi[pi_id] = array("l")
+        rows.append(k)
 
-    non_corresponding = len(publications) - sum(len(r) for r, _ in by_pi.values())
+    non_corresponding = len(paper_ids) - sum(map(len, by_pi.values()))
     if non_corresponding:
         warnings.append(
             f"{non_corresponding} non-corresponding record(s) excluded from scoring"
         )
 
     return ValidatedDataset(
-        publications=publications,
+        columns=tuple(columns),
         profiles=profile_map,
         warnings=tuple(warnings),
+        _ifs=ifs,
         _by_pi=by_pi,
-        _impact=impact,
     )
 
 

@@ -13,15 +13,28 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leadindex import fileio
+from leadindex import cli, fileio
+from leadindex.analysis import trend
 from leadindex.cli import MAX_SPAN_YEARS, _parse_span, main
+from leadindex.credit import CreditScenario
+from leadindex.errors import DataValidationError
 from leadindex.fileio import write_journals, write_profiles, write_publications
-from leadindex.model import InvestigatorProfile, JournalYearIF, PublicationRecord
+from leadindex.metrics import score_all
+from leadindex.model import (
+    IFFallback,
+    InvestigatorProfile,
+    JournalYearIF,
+    PublicationRecord,
+    ValidatedDataset,
+    validate_dataset,
+)
+from leadindex.toughness import DivisorMode, ToughnessTable
 
 
 @pytest.fixture(scope="module")
@@ -378,7 +391,7 @@ class TestLoadOrder:
     larger one is read."""
 
     READERS = ("read_toughness_corpus", "read_toughness_table", "read_grants",
-               "read_journals", "read_profiles", "read_publications")
+               "read_journals", "read_profiles", "read_publication_columns")
 
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -402,7 +415,7 @@ class TestLoadOrder:
                      "--grants", str(dataset_dir / "grants.csv"),
                      "--period", "2008:2013", "--out-dir", str(tmp_path)]) == 0
         assert reads == [reader, "read_grants", "read_journals", "read_profiles",
-                         "read_publications"]
+                         "read_publication_columns"]
         heads = [m.split(":")[0] for m in caplog.messages]
         assert heads.index("toughness table") < heads.index("publications") \
             < heads.index("profiles")
@@ -424,6 +437,98 @@ class TestLoadOrder:
         assert f"{corpus}:2: total_citations" in err
         assert str(publications) not in err
         assert reads == ["read_toughness_corpus"]
+
+
+class TestPublicationColumns:
+    """The CLI carries the publications as the columns fileio reads."""
+
+    def test_scoring_commands_build_no_record(self, dataset_dir, tmp_path, monkeypatch):
+        views, constructed = [], []
+        monkeypatch.setattr(ValidatedDataset, "publications",
+                            property(lambda dataset: views.append(dataset)))
+        record_new = PublicationRecord.__new__
+
+        def counted(cls, *args, **kwargs):
+            constructed.append(args)
+            return record_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(PublicationRecord, "__new__", counted)
+        for command in ("score", "report-trend"):
+            out = tmp_path / command
+            assert main(command_args(command, dataset_dir, out)) == 0
+            assert any(out.iterdir())
+        assert views == []
+        assert constructed == []
+
+
+@st.composite
+def valid_datasets(draw):
+    """Up to 14 papers over three investigators and three journals, each
+    journal with a positive IF in 2010 and in some later years; some
+    paper_ids and a journal name hold a comma, so the writer quotes them
+    and their chunks go through the row loop."""
+    pis = ["P1", "P2", "P3"]
+    names = ["J1", "J,2", "J3"]
+    journals = [JournalYearIF(j, year, draw(st.floats(min_value=0.5, max_value=50.0)))
+                for j in names for year in (2010, 2011, 2012)
+                if year == 2010 or draw(st.booleans())]
+    papers = []
+    for k in range(draw(st.integers(min_value=0, max_value=14))):
+        n = draw(st.integers(min_value=1, max_value=6))
+        i = draw(st.integers(min_value=1, max_value=n))
+        papers.append(PublicationRecord(
+            draw(st.sampled_from([f"p{k}", f"p,{k}"])), draw(st.sampled_from(pis)),
+            draw(st.integers(min_value=2010, max_value=2012)), draw(st.sampled_from(names)),
+            n, i, draw(st.integers(min_value=1, max_value=n - i + 1)), draw(st.booleans())))
+    profiles = [InvestigatorProfile(pid, "CN", 1) for pid in pis]
+    return papers, journals, profiles
+
+
+class TestTwoEntryPaths:
+    """The CLI's columns and validate_dataset over the records read from the
+    same files give the same dataset, the same errors and the same scores."""
+
+    table = ToughnessTable(cutoffs=(3.0,), base_count=1, total_papers=3,
+                           divisor_mode=DivisorMode.GEOMETRIC_SUM, level_sizes=(1, 2))
+
+    @staticmethod
+    def _loaded(load):
+        try:
+            return load()
+        except DataValidationError as exc:
+            return exc.errors
+
+    @given(valid_datasets(), st.integers(min_value=1, max_value=5))
+    @settings(max_examples=60, deadline=None)
+    def test_same_dataset_and_scores(self, drawn, chunk):
+        papers, journals, profiles = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_publications(root / "publications.csv", papers)
+            write_journals(root / "journals.csv", journals)
+            write_profiles(root / "profiles.csv", profiles)
+            for fallback in IFFallback:
+                args = cli.build_parser().parse_args([
+                    "validate", *dataset_flags(root), "--if-fallback", fallback.value])
+                with mock.patch.object(fileio, "_CHUNK", chunk):
+                    got = self._loaded(lambda: cli._load_dataset(args))
+                    expected = self._loaded(lambda: validate_dataset(
+                        fileio.read_publications(root / "publications.csv"),
+                        journals, profiles, fallback))
+                if isinstance(expected, list):
+                    assert got == expected
+                    continue
+                assert got.publications == expected.publications == tuple(papers)
+                assert [(k, repr(v)) for k, v in got.resolved_if.items()] == [
+                    (k, repr(v)) for k, v in expected.resolved_if.items()]
+                for pi in got.pi_ids:
+                    assert got.corresponding_papers(pi) == expected.corresponding_papers(pi)
+                assert got.warnings == expected.warnings
+                for scenario in CreditScenario:
+                    assert score_all(got, (2010, 2012), self.table, scenario) == score_all(
+                        expected, (2010, 2012), self.table, scenario)
+                    assert trend(got, self.table, (2010, 2012), scenario) == trend(
+                        expected, self.table, (2010, 2012), scenario)
 
 
 class TestConfigFile:

@@ -570,9 +570,16 @@ class TestMemoisedRowsMatchPerCellParsing:
 
 
 def _read_rows(text, columns, make, header_line=1):
-    """``_parse_rows`` on ``text``: its records, or the errors it raised."""
+    """``_parse_rows`` on ``text``: its records, or the errors it raised.
+
+    With a ``fileio._Result`` for ``make``, ``_parse_columns`` builds the
+    result columns, and the rows of those columns are returned as tuples.
+    """
+    f = io.StringIO(text, newline="")
     try:
-        return _parse_rows("t.csv", io.StringIO(text, newline=""), columns, make, header_line)
+        if isinstance(make, fileio._Result):
+            return list(zip(*fileio._parse_columns("t.csv", f, columns, make, header_line)))
+        return _parse_rows("t.csv", f, columns, make, header_line)
     except FileFormatError as exc:
         return exc.errors
 
@@ -595,13 +602,16 @@ TEXT_CELLS = (["a", "b", "J1", "P1"], [
     "", ",", 'q"t', "l\nm", "l\r\nm", "c\rd", "\x0b", "v\u2028w", "a\0b", " ", "\x85"])
 YEAR_CELLS = (["2010", "1999", "-3"], [" 1", "1.5", "x", "+4", "-0", "00007"])
 FLOAT_CELLS = (["1.5", "0.0", "2", "3.25"], ["-0.0", "1e3", "nan", "inf", "-1.0", "1e400"])
+PUBLICATION_CELLS = [
+    TEXT_CELLS, TEXT_CELLS, YEAR_CELLS, TEXT_CELLS,
+    (["1", "2", "3"], ["0", "100000", "100001", "-1"]),
+    (["1", "2"], ["0", "4", "x"]), (["1", "2"], ["0", "3"]),
+    (["true", "false"], ["True", ""])]
 # Per format: its columns, record maker and the cells of each column.
 CELL_FORMATS = {
-    "publications": (fileio._PUBLICATIONS, PublicationRecord, [
-        TEXT_CELLS, TEXT_CELLS, YEAR_CELLS, TEXT_CELLS,
-        (["1", "2", "3"], ["0", "100000", "100001", "-1"]),
-        (["1", "2"], ["0", "4", "x"]), (["1", "2"], ["0", "3"]),
-        (["true", "false"], ["True", ""])]),
+    "publications": (fileio._PUBLICATIONS, PublicationRecord, PUBLICATION_CELLS),
+    # The CLI's read: columns checked once per distinct key, no record per row.
+    "publication columns": (fileio._PUBLICATIONS, fileio._PUBLICATION_COLUMNS, PUBLICATION_CELLS),
     "journals": (fileio._JOURNALS, JournalYearIF, [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS]),
     "profiles": (fileio._PROFILES, InvestigatorProfile, [
         TEXT_CELLS, TEXT_CELLS, (["1", "2", "3"], ["0", "4"]),
@@ -699,7 +709,8 @@ class TestColumnarMatchesRowLoop:
             errors = _read_rows(text, fileio._PUBLICATIONS, PublicationRecord)
         assert errors == ["t.csv:9: year: not an integer: '20x0'",
                           "t.csv:10: credit_position 4 out of range 1..3"]
-        assert [len(records) for records in columnar[:-1]] == [3, 3]
+        # Rows per columnar chunk: the length of its one result column.
+        assert [len(chunk[0]) for chunk in columnar[:-1]] == [3, 3]
         assert columnar[-1] is None
 
     def test_repeated_text_cells_share_one_string(self):

@@ -1,20 +1,23 @@
 """Traced peak memory of the stages that hold a row per input item.
 
-validate_dataset checks paper_id uniqueness on a sorted list of the ids,
-and trend keeps five packed doubles per (investigator, year). Each bound
-here sits well under what a hash set of the ids, or a tuple of boxed
-floats per (investigator, year), would cost. A scoring command's load
-frees the corpus before it reads the dataset, so its peak is one stage's.
+The CLI reads the publications as one list per field, with no record per
+row, and the dataset keeps those lists. Validation checks paper_id
+uniqueness on a sorted list of the ids, and trend keeps five packed
+doubles per (investigator, year). Each bound here sits well under what a
+record tuple per row, a hash set of the ids, or a tuple of boxed floats
+per (investigator, year), would cost. A scoring command's load frees the
+corpus before it reads the dataset, so its peak is one stage's.
 """
 
 import tracemalloc
 
-from leadindex import cli, synth
+from leadindex import cli, fileio, synth
 from leadindex.analysis import trend
 from leadindex.model import (
     InvestigatorProfile,
     JournalYearIF,
     PublicationRecord,
+    validate_columns,
     validate_dataset,
 )
 
@@ -36,20 +39,57 @@ def traced_peak(fn, *args, **kwargs):
     return peak - before, result
 
 
-def test_validate_dataset_peak_per_publication():
-    n = 50_000
-    # As the CSV reader hands them over: a list, each record with its own strings.
-    publications = [PublicationRecord(f"X{i:07d}", f"P{i % 1000:04d}", 2000 + i % 10,
-                                      f"J{i % 200:03d}", 3, 1 + i % 3)
-                    for i in range(n)]
+def _inputs():
     journals = [JournalYearIF(f"J{j:03d}", 2000 + y, 1.0 + j / 100)
                 for j in range(200) for y in range(10)]
     profiles = [InvestigatorProfile(f"P{p:04d}", "CN", 1) for p in range(1000)]
+    return journals, profiles
+
+
+def test_read_publication_columns_peak_per_row(tmp_path):
+    # Enough rows that a chunk's scratch is small beside the columns.
+    n = 100_000
+    path = tmp_path / "publications.csv"
+    fileio.write_publications(path, (
+        PublicationRecord(f"SP{i:06d}", f"P{i % 1000:04d}", 2000 + i % 10,
+                          f"J{i % 200:03d}", 3, 1 + i % 3) for i in range(n)))
+
+    peak, columns = traced_peak(fileio.read_publication_columns, path)
+
+    assert len(columns[0]) == n
+    assert peak / n <= 150
+
+
+def test_validate_dataset_peak_per_publication():
+    n = 50_000
+    journals, profiles = _inputs()
+    # As the CSV reader hands them over to the validator validate_dataset
+    # runs: one list per field, one paper_id string per row, and each
+    # repeated text or number one shared object.
+    pi_ids = [f"P{p:04d}" for p in range(1000)]
+    journal_names = [f"J{j:03d}" for j in range(200)]
+    columns = [[f"X{i:07d}" for i in range(n)], [pi_ids[i % 1000] for i in range(n)],
+               [2000 + i % 10 for i in range(n)], [journal_names[i % 200] for i in range(n)],
+               [3] * n, [1 + i % 3 for i in range(n)], [1] * n, [True] * n]
+
+    peak, dataset = traced_peak(validate_columns, columns, journals, profiles)
+
+    assert len(dataset.columns[0]) == n
+    assert peak / n <= 50
+
+
+def test_validate_dataset_peak_over_a_record_list():
+    n = 50_000
+    journals, profiles = _inputs()
+    # A caller's list, each record with its own strings.
+    publications = [PublicationRecord(f"X{i:07d}", f"P{i % 1000:04d}", 2000 + i % 10,
+                                      f"J{i % 200:03d}", 3, 1 + i % 3)
+                    for i in range(n)]
 
     peak, dataset = traced_peak(validate_dataset, publications, journals, profiles)
 
-    assert len(dataset.publications) == n
-    assert peak / n <= 50
+    assert dataset.publications == tuple(publications)
+    assert peak / n <= 120
 
 
 def test_trend_peak_per_investigator_year(two_level_table):
@@ -82,7 +122,7 @@ def test_load_peak_is_one_stage_not_table_plus_dataset(tmp_path):
     table_peak, _ = traced_peak(cli._build_table, args)
     load_peak, (dataset, _) = traced_peak(cli._load, args)
 
-    assert len(dataset.publications) > 0
+    assert len(dataset.columns[0]) > 0
     # Built before the dataset is read, the table adds only what outlives
     # its stage; built after, its whole scratch would sit on the dataset.
     assert load_peak <= dataset_peak + table_peak / 4

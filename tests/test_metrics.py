@@ -219,6 +219,29 @@ class TestKernel:
         assert len(calls) == sum(p.n for p in series.points) > 0
 
 
+class TestSumsBeyondTheFloatRange:
+    """A public sum that leaves the float range raises a ValueError naming it;
+    the kernel keeps its own text, naming the investigator and period."""
+
+    big = ScoredPaper("a", 1e308, 1e308, 0.5)
+
+    def test_time_of_one_paper(self):
+        with pytest.raises(ValueError, match=r"^equivalent time T leaves the float range$"):
+            equivalent_time([self.big])
+
+    @pytest.mark.parametrize("function, name", [
+        (output_raw, "output O'"), (output_weighted, "output O"), (equivalent_time, "output O"),
+    ])
+    def test_two_papers(self, function, name):
+        with pytest.raises(ValueError, match=f"^{name} leaves the float range$"):
+            function([self.big, self.big])
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_kernel_names_investigator_and_period(self, count):
+        with pytest.raises(ValueError, match=r"^investigator P1: non-finite metric in 2010-2011$"):
+            _metrics("P1", (2010, 2011), [(2010, 1e308, 1e308, 0.5)] * count)
+
+
 def card_of(dataset, pi_id, period, table, scenario=CreditScenario.RANKED):
     """The card that score_all returns for one investigator."""
     [card] = [c for c in score_all(dataset, period, table, scenario) if c.pi_id == pi_id]

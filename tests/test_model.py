@@ -490,5 +490,6 @@ class TestValidationMatchesRowByRow:
         for pi in pi_ids:
             papers_of = dataset.corresponding_papers(pi)
             assert [r.paper_id for r in papers_of] == by_pi.get(pi, [])
-            assert [(r, repr(v)) for r, v in dataset._papers_with_if(pi)] == [
+            rows = dataset._by_pi.get(pi, ())
+            assert [(dataset.publications[k], repr(dataset._ifs[k])) for k in rows] == [
                 (r, repr(resolved[r.paper_id])) for r in papers_of]
