@@ -19,6 +19,28 @@ import enum
 # search limit of group_size_for_credit.
 MAX_AUTHOR_COUNT = 100_000
 
+
+def check_credit(author_count: int, credit_position: int, tie_span: int) -> None:
+    """A publication's credit triple: 1 <= author_count <= MAX_AUTHOR_COUNT, and
+    the tie of tie_span >= 1 positions from credit_position fits in the author list."""
+    if author_count < 1:
+        raise ValueError(f"author_count must be >= 1, got {author_count}")
+    if author_count > MAX_AUTHOR_COUNT:
+        raise ValueError(
+            f"author_count must be <= {MAX_AUTHOR_COUNT}, got {author_count}")
+    if not 1 <= credit_position <= author_count:
+        raise ValueError(
+            f"credit_position {credit_position} out of range 1..{author_count}"
+        )
+    if tie_span < 1:
+        raise ValueError(f"tie_span must be >= 1, got {tie_span}")
+    if credit_position + tie_span - 1 > author_count:
+        raise ValueError(
+            f"tie_span {tie_span} at position {credit_position} "
+            f"exceeds author_count {author_count}"
+        )
+
+
 # Prefix cache of harmonic numbers, extended lazily as larger k are asked for.
 # _HARMONIC[k] holds H_k accumulated with Neumaier compensation, which keeps
 # tail differences H_n - H_{i-1} accurate to ~1 ulp out to n ~ 10^4 and beyond.
@@ -63,20 +85,11 @@ def a_index(author_count: int, credit_position: int, tie_span: int = 1) -> float
     following positions and receives the mean of the tied shares. The result
     lies in (0, 1]; the shares of all positions (tie_span 1) sum to 1.
 
-    Raises ValueError, in PublicationRecord's words, for an author count
-    outside 1..MAX_AUTHOR_COUNT or a position or span outside the list.
+    Raises check_credit's ValueError for an author count outside
+    1..MAX_AUTHOR_COUNT or a position or span outside the list.
     """
+    check_credit(author_count, credit_position, tie_span)
     n, i, s = author_count, credit_position, tie_span
-    if n < 1:
-        raise ValueError(f"author_count must be >= 1, got {n}")
-    if n > MAX_AUTHOR_COUNT:
-        raise ValueError(f"author_count must be <= {MAX_AUTHOR_COUNT}, got {n}")
-    if not 1 <= i <= n:
-        raise ValueError(f"credit_position {i} out of range 1..{n}")
-    if s < 1:
-        raise ValueError(f"tie_span must be >= 1, got {s}")
-    if i + s - 1 > n:
-        raise ValueError(f"tie_span {s} at position {i} exceeds author_count {n}")
     h_n = _harmonic(n)
     total = 0.0
     for k in range(i, i + s):

@@ -167,15 +167,11 @@ def _records(make) -> _Result:
                    lambda columns: [list(map(make, *columns))])
 
 
-def _checked_publications(columns: list) -> list:
-    check_publication_columns(columns)
-    return columns
-
-
 # The publications as their value columns. A row goes through
 # PublicationRecord, whose items are its values; a chunk's columns are
 # checked once per distinct key, and no record is built.
-_PUBLICATION_COLUMNS = _Result(len(_PUBLICATIONS), PublicationRecord, _checked_publications)
+_PUBLICATION_COLUMNS = _Result(len(_PUBLICATIONS), PublicationRecord,
+                               check_publication_columns)
 
 
 def _parse_rows(path: Pathish, f, columns, make, header_line: int = 1) -> list:
@@ -187,8 +183,10 @@ def _parse_columns(path: Pathish, f, columns, result: _Result, header_line: int 
     """Check the header line of ``f``, then build the result columns of its data rows.
 
     Every bad row is reported as ``path:line: ...``, at the line the row
-    starts on, naming its first bad column from the left; all of them are
-    raised together. ``header_line`` is the file line ``f`` starts at.
+    starts on, and all of them are raised together. A row is named by its
+    leftmost cell that fails to parse; only a row whose cells all parse is
+    then checked by its record. ``header_line`` is the file line ``f``
+    starts at.
 
     Rows are read ``_CHUNK`` lines at a time and parsed a column at a time
     while each chunk is plain CSV and error-free. From the first chunk that
@@ -313,14 +311,21 @@ def _read_csv(path: Pathish, columns, make) -> list:
 
 
 def read_publications(path: Pathish) -> list[PublicationRecord]:
-    return _read_csv(path, _PUBLICATIONS, PublicationRecord)
+    """The records of read_publication_columns' rows, in file order.
+
+    The columns are checked as they are read, so the records are built with
+    _make, skipping the constructor's checks. Columns and records are both
+    live while the records are built.
+    """
+    return list(map(PublicationRecord._make, zip(*read_publication_columns(path))))
 
 
 def read_publication_columns(path: Pathish) -> list[list]:
     """The publications as one list per PublicationRecord field, in field order.
 
-    The rows are checked as read_publications checks them, with the same
-    errors, but no record is kept: model.validate_columns takes the lists.
+    Every row is checked as PublicationRecord checks it, and a bad row is
+    reported with its line, but no record is kept: model.validate_columns
+    takes the lists.
     """
     with open(path, newline="", encoding="utf-8") as f:
         return _parse_columns(path, f, _PUBLICATIONS, _PUBLICATION_COLUMNS)
@@ -437,7 +442,7 @@ def read_toughness_table(path: Pathish) -> ToughnessTable:
 
     weights = [weight for weight, _ in rows]
     # The row count first: the marker's levels= is not bounded by the file.
-    if len(rows) != levels or weights != list(range(levels, 0, -1)):
+    if levels < 1 or len(rows) != levels or weights != list(range(levels, 0, -1)):
         raise FileFormatError(
             [f"{path}: weights must run {levels}..1, got {weights}"]
         )

@@ -174,6 +174,7 @@ def _metrics(
 
     L = O/sqrt(T). Raises an error naming the investigator and period when
     every paper is worth 0 (T undefined) or a metric leaves the float range.
+    E and L are finite once O and T are, since T >= 1.
     """
     start, end = period
     try:
@@ -185,12 +186,10 @@ def _metrics(
                 "no paper with positive value"
             )
         t = _time(papers, o)
-        metrics = (o_prime, o, t, efficiency(o, t), o / math.sqrt(t))
     except ValueError:  # a sum beyond the float range, named for one list of papers
-        metrics = (math.inf,)
-    if not all(map(math.isfinite, metrics)):
-        raise ValueError(f"investigator {pi_id}: non-finite metric in {start}-{end}")
-    return metrics
+        raise ValueError(
+            f"investigator {pi_id}: non-finite metric in {start}-{end}") from None
+    return o_prime, o, t, efficiency(o, t), o / math.sqrt(t)
 
 
 def _card(

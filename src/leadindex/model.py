@@ -17,7 +17,7 @@ from itertools import compress, islice, repeat
 from operator import attrgetter, eq, getitem, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .credit import MAX_AUTHOR_COUNT
+from .credit import check_credit
 from .errors import DataValidationError
 
 # Institutional classes an investigator profile may name, 1 being the top.
@@ -65,8 +65,8 @@ class PublicationRecord(_PublicationFields):
     ``credit_position`` is the investigator's rank in the paper's
     contribution ordering; ``tie_span`` counts the consecutive positions
     (starting there) that contributed equally, 1 meaning no tie. Only
-    records with ``is_corresponding`` enter scoring. ``author_count`` is
-    at most MAX_AUTHOR_COUNT.
+    records with ``is_corresponding`` enter scoring. The credit triple is
+    checked by credit.check_credit, as a_index checks it.
     """
 
     __slots__ = ()
@@ -89,29 +89,8 @@ def check_text(name: str, value: str) -> None:
         raise ValueError(f"{name} must be non-empty")
 
 
-def check_credit(author_count: int, credit_position: int, tie_span: int) -> None:
-    """A publication's credit triple: 1 <= author_count <= MAX_AUTHOR_COUNT, and
-    the tie of tie_span >= 1 positions from credit_position fits in the author list."""
-    if author_count < 1:
-        raise ValueError(f"author_count must be >= 1, got {author_count}")
-    if author_count > MAX_AUTHOR_COUNT:
-        raise ValueError(
-            f"author_count must be <= {MAX_AUTHOR_COUNT}, got {author_count}")
-    if not 1 <= credit_position <= author_count:
-        raise ValueError(
-            f"credit_position {credit_position} out of range 1..{author_count}"
-        )
-    if tie_span < 1:
-        raise ValueError(f"tie_span must be >= 1, got {tie_span}")
-    if credit_position + tie_span - 1 > author_count:
-        raise ValueError(
-            f"tie_span {tie_span} at position {credit_position} "
-            f"exceeds author_count {author_count}"
-        )
-
-
-def check_publication_columns(columns: Sequence[list]) -> None:
-    """PublicationRecord's checks over its eight columns, in field order.
+def check_publication_columns(columns: Sequence[list]) -> Sequence[list]:
+    """Run PublicationRecord's checks over its eight columns, in field order; return them.
 
     Each text column is checked at once, and each distinct credit triple
     once. Raises ValueError if any row would be refused, not necessarily
@@ -123,6 +102,7 @@ def check_publication_columns(columns: Sequence[list]) -> None:
             check_text(name, "")
     for triple in set(zip(author_counts, positions, spans)):
         check_credit(*triple)
+    return columns
 
 
 class _JournalYearIFFields(NamedTuple):

@@ -162,6 +162,15 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_table_marked_zero_levels_is_1(self, dataset_dir, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("# toughness-table v=1 levels=0 divisor_mode=geometric_sum "
+                         "base_count=5 total_papers=5 level_sizes=5\nweight,min_if\n")
+        out = tmp_path / "out"
+        assert main([*command_args("score", dataset_dir, out), "--table", str(table)]) == 1
+        assert f"{table}: weights must run 0..1, got []" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_toughness_build_takes_no_table(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["toughness-build", "--table", str(dataset_dir / "table.csv"),

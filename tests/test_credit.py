@@ -16,6 +16,7 @@ from leadindex.credit import (
     group_size_for_credit,
     scenario_share,
 )
+from leadindex.model import PublicationRecord, check_publication_columns
 
 
 def exact_share(n, i, s=1):
@@ -83,6 +84,28 @@ def test_refusals_use_the_record_texts_and_leave_the_cache(n, s, message):
     with pytest.raises(ValueError, match=message):
         a_index(n, 1, s)
     assert len(credit._HARMONIC) == cached
+
+
+def _refusal(fn, *args):
+    """The text of the ValueError fn(*args) raises; None when it returns."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.one_of(st.integers(min_value=-2, max_value=8), st.just(MAX_AUTHOR_COUNT + 1)),
+       st.integers(min_value=-2, max_value=10), st.integers(min_value=-2, max_value=10))
+@settings(max_examples=200)
+def test_a_index_and_the_records_share_one_credit_rule(n, i, s):
+    cached = len(credit._HARMONIC)
+    refusal = _refusal(a_index, n, i, s)
+    assert refusal == _refusal(PublicationRecord, "p1", "P1", 2010, "J1", n, i, s)
+    assert refusal == _refusal(check_publication_columns,
+                               [["p1"], ["P1"], [2010], ["J1"], [n], [i], [s], [True]])
+    if refusal is not None:
+        assert len(credit._HARMONIC) == cached
 
 
 def test_group_size_for_a_fifth_is_seventeen():

@@ -77,6 +77,21 @@ class TestRoundTrips:
         write_publications(path, records)
         assert read_publications(path) == records
 
+    def test_publications_are_built_from_the_column_read(self, tmp_path, monkeypatch):
+        records = random_publications(random.Random(5), 50)
+        path = tmp_path / "pubs.csv"
+        write_publications(path, records)
+        constructed = []
+        record_new = PublicationRecord.__new__
+
+        def counted(cls, *args, **kwargs):
+            constructed.append(args)
+            return record_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(PublicationRecord, "__new__", counted)
+        assert read_publications(path) == records
+        assert constructed == []
+
     def test_journal_ifs_preserve_float_bits(self, tmp_path):
         rng = random.Random(4)
         rows = [JournalYearIF(f"J{i}", 2000 + i % 20, rng.uniform(0.0001, 300.0))
@@ -322,6 +337,14 @@ class TestToughnessTableFile:
         with pytest.raises(FileFormatError, match="weights must run"):
             read_toughness_table(path)
         assert time.perf_counter() - started < 1.0
+
+    def test_zero_levels_marker_rejected(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("# toughness-table v=1 levels=0 divisor_mode=geometric_sum "
+                        "base_count=5 total_papers=5 level_sizes=5\nweight,min_if\n")
+        with pytest.raises(FileFormatError) as exc:
+            read_toughness_table(path)
+        assert exc.value.errors == [f"{path}: weights must run 0..1, got []"]
 
     def test_non_integer_levels_is_bad_metadata(self, tmp_path):
         path = tmp_path / "table.csv"

@@ -46,18 +46,37 @@ def _inputs():
     return journals, profiles
 
 
-def test_read_publication_columns_peak_per_row(tmp_path):
-    # Enough rows that a chunk's scratch is small beside the columns.
-    n = 100_000
-    path = tmp_path / "publications.csv"
+def _publications_file(path, n):
+    """A publications.csv of n rows over _inputs' investigators, journals and years."""
     fileio.write_publications(path, (
         PublicationRecord(f"SP{i:06d}", f"P{i % 1000:04d}", 2000 + i % 10,
                           f"J{i % 200:03d}", 3, 1 + i % 3) for i in range(n)))
+    return path
+
+
+def test_read_publication_columns_peak_per_row(tmp_path):
+    # Enough rows that a chunk's scratch is small beside the columns.
+    n = 100_000
+    path = _publications_file(tmp_path / "publications.csv", n)
 
     peak, columns = traced_peak(fileio.read_publication_columns, path)
 
     assert len(columns[0]) == n
     assert peak / n <= 150
+
+
+def test_read_publications_then_validate_peak_per_row(tmp_path):
+    # The library's record path: read_publications builds its records from
+    # the column read, and validate_dataset splits them into columns again.
+    n = 100_000
+    journals, profiles = _inputs()
+    path = _publications_file(tmp_path / "publications.csv", n)
+
+    peak, dataset = traced_peak(
+        lambda: validate_dataset(fileio.read_publications(path), journals, profiles))
+
+    assert len(dataset.columns[0]) == n
+    assert peak / n <= 275
 
 
 def test_validate_dataset_peak_per_publication():
