@@ -27,7 +27,7 @@ from .model import (
     Rank,
     check_publication_columns,
 )
-from .toughness import DivisorMode, ToughnessTable
+from .toughness import DivisorMode, ToughnessTable, top_level_size
 
 Pathish = Union[str, Path]
 
@@ -353,28 +353,68 @@ def _write_csv(
 ) -> None:
     r"""Write an optional marker line, ``header``, then ``rows``, one per "\n" line.
 
-    Cells go to csv.writer as they are: None is written as an empty cell,
-    a float as its repr.
+    The bytes are those csv.writer writes for the same rows: None is
+    written as an empty cell, a float as its repr, any other cell as its
+    str. A cell holding a delimiter, a quote, "\n" or "\r" is quoted, as
+    Python 3.13 does. Before 3.13 csv.writer quotes a line break only if it
+    is in the line terminator, so the writer is given "\r\n" and each row
+    it hands over (whole, in one write call) is stored ending in "\n".
 
-    A cell holding a delimiter, a quote, "\n" or "\r" is quoted, as Python
-    3.13 does. Before 3.13 csv.writer quotes a line break only if it is in
-    the line terminator, so the writer is given "\r\n" and each row it
-    hands over (whole, in one write call) is stored ending in "\n".
+    Tuple rows are taken ``_CHUNK`` at a time. A chunk is formatted in one
+    pass, and written as formatted where csv.writer would write the same
+    text; any other chunk goes to csv.writer row by row. From the first row
+    that is not a tuple on (report rows are lists), rows go to csv.writer
+    as they come, so no chunk of them is held.
     """
+    width = len(header)
+    template = ",".join(["%s"] * width) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as f:
         if marker:
             f.write(marker + "\n")
         sink = SimpleNamespace(write=lambda line: f.write(line[:-2] + "\n"))
         w = csv.writer(sink, lineterminator="\r\n")
         w.writerow(header)
-        w.writerows(rows)
+        rows = iter(rows)
+        for first in rows:
+            if not isinstance(first, tuple):
+                w.writerow(first)
+                w.writerows(rows)
+                break
+            chunk = [first, *islice(rows, _CHUNK - 1)]
+            text = _formatted(chunk, template, width)
+            if text is None:
+                w.writerows(chunk)
+            else:
+                f.write(text)
+
+
+def _formatted(rows: list, template: str, width: int) -> str | None:
+    """``template`` applied to each row, or None where csv.writer might write other text.
+
+    csv.writer writes a row of ``width`` cells as their str joined by
+    commas, unless a cell is None (an empty cell, not "None"), needs quoting
+    (a comma, a quote, a line break), holds a NUL (refused before Python
+    3.11), or the row is a lone empty cell (written as ""). A float's repr
+    is its str. A tuple of other than ``width`` items fails to format.
+    """
+    if width < 2:
+        return None
+    try:
+        text = "".join(map(template.__mod__, rows))
+    except TypeError:  # a row of the wrong length, or a list among the tuples
+        return None
+    n = len(rows)
+    if ('"' in text or "\r" in text or "\0" in text or "None" in text
+            or text.count(",") != n * (width - 1) or text.count("\n") != n):
+        return None
+    return text
 
 
 def write_publications(path: Pathish, records: Iterable[PublicationRecord]) -> None:
     _write_csv(path, PUBLICATIONS_HEADER, (
-        [r.paper_id, r.pi_id, r.year, r.journal,
+        (r.paper_id, r.pi_id, r.year, r.journal,
          r.author_count, r.credit_position, r.tie_span,
-         "true" if r.is_corresponding else "false"]
+         "true" if r.is_corresponding else "false")
         for r in records
     ))
 
@@ -384,13 +424,14 @@ def write_journals(path: Pathish, records: Iterable[JournalYearIF]) -> None:
 
 
 def write_profiles(path: Pathish, records: Iterable[InvestigatorProfile]) -> None:
+    # An absent value is an empty cell, as csv.writer writes None.
     _write_csv(path, PROFILES_HEADER, (
-        [r.pi_id, r.country, r.tier,
-         r.gender.value if r.gender else None,
-         r.birth_year,
-         r.rank.value if r.rank else None,
-         r.total_funding,
-         r.currency]
+        (r.pi_id, r.country, r.tier,
+         r.gender.value if r.gender else "",
+         "" if r.birth_year is None else r.birth_year,
+         r.rank.value if r.rank else "",
+         "" if r.total_funding is None else r.total_funding,
+         "" if r.currency is None else r.currency)
         for r in records
     ))
 
@@ -446,6 +487,17 @@ def read_toughness_table(path: Pathish) -> ToughnessTable:
         raise FileFormatError(
             [f"{path}: weights must run {levels}..1, got {weights}"]
         )
+    # The marker's counts must agree with each other as build_table makes them.
+    try:
+        base = top_level_size(total_papers, levels, mode)
+        if sum(level_sizes) != total_papers:
+            raise ValueError(f"level_sizes sum to {sum(level_sizes)}, "
+                             f"total_papers is {total_papers}")
+        if base_count != base:
+            raise ValueError(f"base_count {base_count} is not {base}, the {mode.value} "
+                             f"top level of {total_papers} papers in {levels} levels")
+    except ValueError as exc:
+        raise FileFormatError([f"{path}: bad table metadata: {exc}"]) from None
     try:
         return ToughnessTable(
             cutoffs=tuple(min_if for _, min_if in rows[:-1]),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,10 +25,13 @@ _IF_SIGMA = 0.7
 # Coauthors per paper are 1 + Poisson(_AUTHOR_MEAN), capped at _MAX_AUTHORS.
 _AUTHOR_MEAN = 4.0
 _MAX_AUTHORS = 25
-# Largest papers_per_pi_mean accepted. _poisson compares against exp(-mean),
-# which leaves the normal float range past ~708 and is 0 past ~745, so a
-# larger mean would silently draw about 745 papers.
+# Largest papers_per_pi_mean accepted. The Poisson draw compares against
+# exp(-mean), which leaves the normal float range past ~708 and is 0 past
+# ~745, so a larger mean would silently draw about 745 papers.
 MAX_PAPERS_MEAN = 700
+# Institutional tiers 1, 2, 3 are drawn with weights 2:4:4; these are the
+# cumulative weights.
+_TIER_BOUNDS = (2, 6, 10)
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,7 @@ class SynthConfig:
             raise ValueError("sizes must be >= 0")
         if self.years[0] > self.years[1]:
             raise ValueError("years span must be ordered")
-        # A chained comparison also refuses NaN, on which _poisson would never return.
+        # A chained comparison also refuses NaN, on which the Poisson draw would never end.
         if not 0 <= self.papers_per_pi_mean <= MAX_PAPERS_MEAN:
             raise ValueError(f"papers_per_pi_mean must lie in [0, {MAX_PAPERS_MEAN}], "
                              f"got {self.papers_per_pi_mean}")
@@ -58,33 +62,58 @@ class SynthDataset:
     corpus: tuple[tuple[str, int, int, float], ...]
 
 
-def _poisson(rng: random.Random, lam: float) -> int:
-    # Knuth's product method; exact only while exp(-lam) is a normal float.
-    limit = math.exp(-lam)
-    k = 0
-    p = 1.0
-    while True:
-        p *= rng.random()
-        if p <= limit:
-            return k
-        k += 1
+def _randbelow(rng: random.Random):
+    """``below(n)``: ``rng.randrange(n)`` for n >= 1, drawn as random.Random draws it.
+
+    This is Random._randbelow_with_getrandbits, which randrange and randint
+    call on every Python from 3.10 on: k = n.bit_length() bits at a time,
+    redrawn until below n. It skips their argument checks, not a draw.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
+def _draw_tier(draw) -> int:
+    """``choices((1, 2, 3), weights=(2, 4, 4))[0]`` of the Random whose random is ``draw``.
+
+    The same one draw random.choices makes: the first tier whose cumulative
+    weight is above ``draw() * total``, bisected only as far as the last.
+    """
+    return 1 + bisect_right(_TIER_BOUNDS, draw() * _TIER_BOUNDS[-1], 0, 2)
 
 
 def generate(config: SynthConfig) -> SynthDataset:
-    """Build the whole dataset in one fixed generation order."""
+    """Build the whole dataset in one fixed generation order.
+
+    The draws are those of ``random.Random(config.seed)``'s randrange,
+    randint, choices and a Poisson product loop, made without the calls'
+    overhead, so a seed gives the same records as those calls would.
+    """
     rng = random.Random(config.seed)
+    draw = rng.random
+    below = _randbelow(rng)
     start, end = config.years
     year_span = range(start, end + 1)
+    n_years = end - start + 1
 
     journals = []
     corpus = []
     journal_names = [f"J{i:04d}" for i in range(1, config.n_journals + 1)]
+    n_names = len(journal_names)
     for name in journal_names:
         base = rng.lognormvariate(_IF_MU, _IF_SIGMA)
         for year in year_span:
             impact = round(base * rng.uniform(0.85, 1.15), 4)
-            journals.append(JournalYearIF(journal=name, year=year, impact_factor=impact))
-            papers = rng.randint(80, 1500)
+            journals.append(JournalYearIF(name, year, impact))
+            papers = 80 + below(1500 - 80 + 1)  # randint(80, 1500)
             corpus.append((name, year, int(round(papers * impact)), impact))
 
     profiles = []
@@ -92,50 +121,53 @@ def generate(config: SynthConfig) -> SynthDataset:
     publications = []
     paper_seq = 0
     ranks = (Rank.PROFESSOR, Rank.ASSOC_PROFESSOR, Rank.ASSIST_PROFESSOR)
+    # Poisson draws by Knuth's product method, exact while exp(-mean) is a
+    # normal float: count the uniform factors before the product falls to
+    # exp(-mean) or below.
+    papers_limit = math.exp(-config.papers_per_pi_mean)
+    authors_limit = math.exp(-_AUTHOR_MEAN)
     for i in range(1, config.n_pis + 1):
         pid = f"P{i:04d}"
-        country = _COUNTRIES[rng.randrange(len(_COUNTRIES))]
-        tier = rng.choices((1, 2, 3), weights=(2, 4, 4))[0]
+        country = _COUNTRIES[below(len(_COUNTRIES))]
+        tier = _draw_tier(draw)
         gender = None
-        if rng.random() >= 0.05:
-            gender = Gender.MALE if rng.random() < 0.6 else Gender.FEMALE
-        birth_year = rng.randint(1945, 1985) if rng.random() >= 0.05 else None
-        rank = ranks[rng.randrange(3)] if rng.random() >= 0.05 else None
-        profiles.append(
-            InvestigatorProfile(
-                pi_id=pid, country=country, tier=tier, gender=gender,
-                birth_year=birth_year, rank=rank,
-            )
-        )
+        if draw() >= 0.05:
+            gender = Gender.MALE if draw() < 0.6 else Gender.FEMALE
+        birth_year = 1945 + below(1985 - 1945 + 1) if draw() >= 0.05 else None
+        rank = ranks[below(3)] if draw() >= 0.05 else None
+        profiles.append(InvestigatorProfile(pid, country, tier, gender, birth_year, rank))
 
         currency = _CURRENCY[country]
         for year in year_span:
-            if rng.random() < 0.7:
+            if draw() < 0.7:
                 amount = round(rng.lognormvariate(11.5, 0.8), 2)
-                grants.append(
-                    GrantRecord(pi_id=pid, year=year, amount=amount, currency=currency)
-                )
+                grants.append(GrantRecord(pid, year, amount, currency))
 
-        paper_budget = _poisson(rng, config.papers_per_pi_mean) if journal_names else 0
+        paper_budget = 0
+        if journal_names:
+            p = draw()
+            while p > papers_limit:
+                paper_budget += 1
+                p *= draw()
         for _ in range(paper_budget):
             paper_seq += 1
-            authors = min(1 + _poisson(rng, _AUTHOR_MEAN), _MAX_AUTHORS)
-            position = 1 if rng.random() < 0.7 else rng.randint(1, authors)
+            authors = 1
+            p = draw()
+            while p > authors_limit:
+                authors += 1
+                p *= draw()
+            if authors > _MAX_AUTHORS:
+                authors = _MAX_AUTHORS
+            position = 1 if draw() < 0.7 else 1 + below(authors)  # randint(1, authors)
             tie_span = 1
-            if position < authors and rng.random() < 0.05:
+            if position < authors and draw() < 0.05:
                 tie_span = 2
-            publications.append(
-                PublicationRecord(
-                    paper_id=f"SP{paper_seq:06d}",
-                    pi_id=pid,
-                    year=rng.randint(start, end),
-                    journal=journal_names[rng.randrange(len(journal_names))],
-                    author_count=authors,
-                    credit_position=position,
-                    tie_span=tie_span,
-                    is_corresponding=rng.random() >= 0.3,
-                )
-            )
+            # Arguments are evaluated left to right: year before journal.
+            publications.append(PublicationRecord(
+                f"SP{paper_seq:06d}", pid, start + below(n_years),
+                journal_names[below(n_names)], authors, position, tie_span,
+                draw() >= 0.3,
+            ))
 
     return SynthDataset(
         publications=tuple(publications),

@@ -96,6 +96,23 @@ def estimate_paper_counts(
     return rows, warnings
 
 
+def top_level_size(total: int, level_count: int, divisor_mode: DivisorMode) -> int:
+    """X for ``total`` papers cut into ``level_count`` >= 1 levels under ``divisor_mode``.
+
+    Raises ValueError when ``total`` is below 2**level_count - 1, where
+    the top level would hold no paper.
+    """
+    # Bit lengths first: 2**level_count alone can be too large to build.
+    if level_count > total.bit_length() or total < (min_size := 2**level_count - 1):
+        raise ValueError(
+            f"corpus has {total} papers, need at least 2**{level_count} - 1 for "
+            f"{level_count} levels"
+        )
+    if divisor_mode is DivisorMode.GEOMETRIC_SUM:
+        return total // min_size
+    return total // 2 ** (level_count - 1)
+
+
 def build_table(
     corpus: Iterable[tuple[int, float]],
     level_count: int = 10,
@@ -121,17 +138,7 @@ def build_table(
             by_if[impact_factor] = by_if.get(impact_factor, 0) + count
             total += count
 
-    # Bit lengths first: 2**level_count alone can be too large to build.
-    if level_count > total.bit_length() or total < (min_size := 2**level_count - 1):
-        raise ValueError(
-            f"corpus has {total} papers, need at least 2**{level_count} - 1 for "
-            f"{level_count} levels"
-        )
-    if divisor_mode is DivisorMode.GEOMETRIC_SUM:
-        base = total // min_size
-    else:
-        base = total // 2 ** (level_count - 1)
-
+    base = top_level_size(total, level_count, divisor_mode)
     # Cumulative end position of each level above the bottom.
     boundaries = [base * (2**i - 1) for i in range(1, level_count)]
 

@@ -171,6 +171,19 @@ class TestExitCodes:
         assert f"{table}: weights must run 0..1, got []" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_table_metadata_past_its_rows_is_1(self, dataset_dir, tmp_path, capsys):
+        # Three valid rows, but 5 papers cannot fill 3 levels, the sizes sum
+        # to 3 and the base count is no mode's: the log would state "3 levels
+        # over 5 papers", which the file cannot back.
+        table = tmp_path / "table.csv"
+        table.write_text("# toughness-table v=1 levels=3 divisor_mode=geometric_sum "
+                         "base_count=999 total_papers=5 level_sizes=1|1|1\n"
+                         "weight,min_if\n3,5.0\n2,2.0\n1,0.0\n")
+        out = tmp_path / "out"
+        assert main([*command_args("score", dataset_dir, out), "--table", str(table)]) == 1
+        assert f"{table}: bad table metadata: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_toughness_build_takes_no_table(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["toughness-build", "--table", str(dataset_dir / "table.csv"),

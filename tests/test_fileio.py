@@ -2,10 +2,14 @@
 
 import csv
 import io
+import math
 import random
 import re
 import sys
+import tempfile
 import time
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -46,7 +50,7 @@ from leadindex.model import (
     PublicationRecord,
     Rank,
 )
-from leadindex.toughness import DivisorMode, ToughnessTable
+from leadindex.toughness import DivisorMode, ToughnessTable, build_table
 
 
 def random_publications(rng, n):
@@ -295,9 +299,17 @@ class TestToughnessTableFile:
             cutoffs=(20.0, 9.5, 4.25),
             base_count=7,
             total_papers=106,
-            divisor_mode=DivisorMode.HALF_POW,
+            divisor_mode=DivisorMode.GEOMETRIC_SUM,
             level_sizes=(7, 14, 28, 57),
         )
+
+    def write_marked(self, path, **meta):
+        """The fixture's file with some of its marker's values replaced."""
+        write_toughness_table(path, self.table())
+        marker, rest = path.read_text().split("\n", 1)
+        for key, value in meta.items():
+            marker = re.sub(rf"\b{key}=\S+", f"{key}={value}", marker)
+        path.write_text(marker + "\n" + rest)
 
     def test_round_trip_preserves_everything(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -360,6 +372,47 @@ class TestToughnessTableFile:
         with pytest.raises(FileFormatError, match="cutoffs must be non-increasing"):
             read_toughness_table(path)
 
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.floats(0, 1e3)), max_size=30),
+           st.integers(1, 12), st.sampled_from(DivisorMode))
+    @settings(deadline=None)
+    def test_every_built_table_passes_the_metadata_rules(self, corpus, levels, mode):
+        try:
+            table = build_table(corpus, levels, mode)
+        except ValueError:  # too few papers for the levels
+            return
+        assert sum(table.level_sizes) == table.total_papers
+        assert table.total_papers >= 2**levels - 1
+        assert table.base_count == expected_base_count(table.total_papers, levels, mode)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "table.csv")
+            write_toughness_table(path, table)
+            assert read_toughness_table(path) == table
+
+    def test_level_sizes_off_the_total_rejected(self, tmp_path):
+        path = tmp_path / "table.csv"
+        self.write_marked(path, level_sizes="7|14|28|58")
+        with pytest.raises(FileFormatError) as exc:
+            read_toughness_table(path)
+        assert exc.value.errors == [
+            f"{path}: bad table metadata: level_sizes sum to 107, total_papers is 106"]
+
+    def test_too_few_papers_for_the_levels_rejected(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("# toughness-table v=1 levels=3 divisor_mode=geometric_sum "
+                        "base_count=0 total_papers=5 level_sizes=1|1|3\n"
+                        "weight,min_if\n3,5.0\n2,2.0\n1,0.0\n")
+        with pytest.raises(FileFormatError) as exc:
+            read_toughness_table(path)
+        assert exc.value.errors == [f"{path}: bad table metadata: corpus has 5 papers, "
+                                    "need at least 2**3 - 1 for 3 levels"]
+
+    @pytest.mark.parametrize("meta", [dict(base_count=8), dict(divisor_mode="half_pow")])
+    def test_base_count_off_the_divisor_mode_rejected(self, tmp_path, meta):
+        path = tmp_path / "table.csv"
+        self.write_marked(path, **meta)
+        with pytest.raises(FileFormatError, match=r"bad table metadata: base_count \d+ is not"):
+            read_toughness_table(path)
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "table.csv"
         write_toughness_table(path, self.table())
@@ -398,15 +451,28 @@ def profile_records(draw):
     )
 
 
+def expected_base_count(total, levels, mode):
+    """The top level's size as DivisorMode defines it."""
+    if mode is DivisorMode.GEOMETRIC_SUM:
+        return total // (2**levels - 1)
+    return total // 2**(levels - 1)
+
+
 @st.composite
 def toughness_tables(draw):
+    """Any cutoffs, under metadata a table file may carry: level sizes that sum
+    to at least 2**levels - 1 papers, and the mode's base count of them."""
     levels = draw(st.integers(1, 12))
     cutoffs = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                             min_size=levels - 1, max_size=levels - 1))
+    mode = draw(st.sampled_from(DivisorMode))
+    level_sizes = draw(st.lists(COUNTS, min_size=levels, max_size=levels))
+    level_sizes[-1] += 2**levels - 1
+    total = sum(level_sizes)
     return ToughnessTable(
-        cutoffs=tuple(sorted(cutoffs, reverse=True)), base_count=draw(COUNTS),
-        total_papers=draw(COUNTS), divisor_mode=draw(st.sampled_from(DivisorMode)),
-        level_sizes=tuple(draw(st.lists(COUNTS, min_size=levels, max_size=levels))),
+        cutoffs=tuple(sorted(cutoffs, reverse=True)),
+        base_count=expected_base_count(total, levels, mode), total_papers=total,
+        divisor_mode=mode, level_sizes=tuple(level_sizes),
     )
 
 
@@ -783,3 +849,107 @@ class TestOversizedCell:
         journal = "j" * self.limit
         path.write_text(f"journal,year,impact_factor\n{journal},2010,1.5\n")
         assert read_journals(path) == [JournalYearIF(journal, 2010, 1.5)]
+
+
+def _per_row_write_csv(path, header, rows, marker=""):
+    """The reference writer: every row through csv.writer, which _write_csv must match."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        if marker:
+            f.write(marker + "\n")
+        sink = SimpleNamespace(write=lambda line: f.write(line[:-2] + "\n"))
+        w = csv.writer(sink, lineterminator="\r\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+# Cells csv.writer writes as they are, and cells it writes otherwise: quoted,
+# empty (None), refused (NUL before Python 3.11) or through repr (floats).
+WRITER_CELLS = (
+    st.text(st.sampled_from('ab ,"\r\n\0'), max_size=4)
+    | st.sampled_from([",", '"', "\r", "\n", "\r\n", "None", "", "x"])
+    | st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-320])
+)
+ROW_KINDS = {"tuple": tuple, "list": list, "generator": lambda cells: (c for c in cells)}
+
+
+@st.composite
+def writer_inputs(draw):
+    """A header of 1 to 4 columns and rows of cells as (kind, cells): mostly
+    tuples of the header's width, some lists and generators, some shorter or
+    longer than the header."""
+    width = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        size = draw(st.sampled_from([width] * 6 + [0, width - 1, width + 1]))
+        kind = draw(st.sampled_from(["tuple"] * 4 + ["list", "generator"]))
+        rows.append((kind, [draw(WRITER_CELLS) for _ in range(size)]))
+    return [f"h{i}" for i in range(width)], rows
+
+
+def _written(write, header, rows, marker=""):
+    """The bytes ``write`` puts in a file, or the error it raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "out.csv")
+        try:
+            write(path, header, [ROW_KINDS[kind](cells) for kind, cells in rows], marker)
+        except Exception as exc:  # the same refusal from both writers
+            return type(exc), str(exc)
+        return path.read_bytes()
+
+
+class TestWriterMatchesCsvWriter:
+    @given(writer_inputs(), st.sampled_from([1, 2, 3, fileio._CHUNK]),
+           st.sampled_from(["", "# marker"]))
+    @settings(max_examples=300, deadline=None)
+    @example((["a"], [("tuple", [""]), ("tuple", [None]), ("list", [""])]), 2, "")
+    @example((["a", "b"], [("tuple", [None, ""]), ("tuple", ["None", 1e-320])]), 3, "")
+    def test_same_bytes(self, drawn, chunk, marker):
+        header, rows = drawn
+        with mock.patch.object(fileio, "_CHUNK", chunk):
+            got = _written(_write_csv, header, rows, marker)
+        assert got == _written(_per_row_write_csv, header, rows, marker)
+
+    def test_rows_that_start_with_a_list_are_not_chunked(self, tmp_path):
+        """Report rows are lists: they stream to csv.writer, as many as they are.
+        Only a chunk's first row decides: one chunk of tuples comes first."""
+        rows = ([("a", 1)] * fileio._CHUNK + [["b", 2]]
+                + [("c", 3)] * (2 * fileio._CHUNK))
+        formatted, format_chunk = [], fileio._formatted
+
+        def spy(chunk, template, width):
+            formatted.append(len(chunk))
+            return format_chunk(chunk, template, width)
+
+        with mock.patch.object(fileio, "_formatted", spy):
+            _write_csv(tmp_path / "got.csv", ["x", "y"], iter(rows))
+        _per_row_write_csv(tmp_path / "expected.csv", ["x", "y"], rows)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert formatted == [fileio._CHUNK]
+
+    def test_lone_empty_cell_is_quoted(self, tmp_path):
+        path = tmp_path / "one.csv"
+        _write_csv(path, ["a"], [("",), (None,), ["x"]])
+        assert path.read_text() == 'a\n""\n""\nx\n'
+
+    @pytest.mark.parametrize("bad", [
+        ("p", None, 1), ("p", '"q', 1), ("p", "a,b", 1), ("p", "l\nm", 1), ("p", "c\rd", 1),
+        ("p", "a\0b", 1), ("p", "q"), ("p", "q", 1, 2), ["p", "q", 1], ("p", "None", 1)])
+    def test_odd_row_in_a_later_chunk(self, tmp_path, bad):
+        """Two chunks are written as formatted; the third, holding the one odd
+        row, gives csv.writer's bytes."""
+        rows = [(f"p{i}", "q", i) for i in range(2 * fileio._CHUNK + 5)]
+        rows[-3] = bad
+        formatted, format_chunk = [], fileio._formatted
+
+        def spy(chunk, template, width):
+            text = format_chunk(chunk, template, width)
+            formatted.append(text is not None)
+            return text
+
+        header = ["a", "b", "c"]
+        rows = [(type(r).__name__, r) for r in rows]
+        with mock.patch.object(fileio, "_formatted", spy):
+            got = _written(_write_csv, header, rows)
+        assert got == _written(_per_row_write_csv, header, rows)
+        assert formatted == [True, True, False]
