@@ -455,8 +455,7 @@ def write_toughness_table(path: Pathish, table: ToughnessTable) -> None:
         f"level_sizes={'|'.join(str(s) for s in table.level_sizes)}"
     )
     # The bottom level matches any remaining IF, so its floor is 0.
-    floors = list(table.cutoffs) + [0.0]
-    _write_csv(path, _TABLE_HEADER, zip(table.weights, floors), marker=meta)
+    _write_csv(path, _TABLE_HEADER, zip(table.weights, (*table.cutoffs, 0.0)), marker=meta)
 
 
 def read_toughness_table(path: Pathish) -> ToughnessTable:
@@ -464,17 +463,16 @@ def read_toughness_table(path: Pathish) -> ToughnessTable:
         marker = f.readline().rstrip("\n")
         if not marker.startswith(_TABLE_MARKER + " "):
             raise FileFormatError([f"{path}: not a toughness table file"])
-        meta = {}
-        for token in marker[len(_TABLE_MARKER) + 1 :].split():
-            key, _, value = token.partition("=")
-            meta[key] = value
+        meta = dict(token.partition("=")[::2]
+                    for token in marker[len(_TABLE_MARKER) + 1 :].split())
         try:
-            version = int(meta.get("v", "0"))
-            levels = int(meta["levels"])
+            version = _parse_int(meta.get("v", "0"), "v")
+            levels = _parse_int(meta["levels"], "levels")
             mode = DivisorMode(meta["divisor_mode"])
-            base_count = int(meta["base_count"])
-            total_papers = int(meta["total_papers"])
-            level_sizes = tuple(int(s) for s in meta["level_sizes"].split("|"))
+            base_count = _parse_int(meta["base_count"], "base_count")
+            total_papers = _parse_int(meta["total_papers"], "total_papers")
+            size = _non_negative(_parse_int)
+            level_sizes = tuple(size(s, "level_sizes") for s in meta["level_sizes"].split("|"))
         except (KeyError, ValueError) as exc:
             raise FileFormatError([f"{path}: bad table metadata: {exc}"]) from None
         if version != _TABLE_VERSION:
@@ -484,27 +482,22 @@ def read_toughness_table(path: Pathish) -> ToughnessTable:
     weights = [weight for weight, _ in rows]
     # The row count first: the marker's levels= is not bounded by the file.
     if levels < 1 or len(rows) != levels or weights != list(range(levels, 0, -1)):
-        raise FileFormatError(
-            [f"{path}: weights must run {levels}..1, got {weights}"]
-        )
-    # The marker's counts must agree with each other as build_table makes them.
+        raise FileFormatError([f"{path}: weights must run {levels}..1, got {weights}"])
     try:
-        base = top_level_size(total_papers, levels, mode)
-        if sum(level_sizes) != total_papers:
-            raise ValueError(f"level_sizes sum to {sum(level_sizes)}, "
+        # The declared total first, so too few papers reads as bad metadata.
+        top_level_size(total_papers, levels, mode)
+        try:
+            table = ToughnessTable(tuple(cut for _, cut in rows[:-1]), mode, level_sizes)
+        except ValueError as exc:
+            raise FileFormatError([f"{path}: {exc}"]) from None
+        # The marker's counts must be the table's own.
+        if table.total_papers != total_papers:
+            raise ValueError(f"level_sizes sum to {table.total_papers}, "
                              f"total_papers is {total_papers}")
-        if base_count != base:
-            raise ValueError(f"base_count {base_count} is not {base}, the {mode.value} "
-                             f"top level of {total_papers} papers in {levels} levels")
+        if table.base_count != base_count:
+            raise ValueError(f"base_count {base_count} is not {table.base_count}, the "
+                             f"{mode.value} top level of {total_papers} papers in "
+                             f"{levels} levels")
     except ValueError as exc:
         raise FileFormatError([f"{path}: bad table metadata: {exc}"]) from None
-    try:
-        return ToughnessTable(
-            cutoffs=tuple(min_if for _, min_if in rows[:-1]),
-            base_count=base_count,
-            total_papers=total_papers,
-            divisor_mode=mode,
-            level_sizes=level_sizes,
-        )
-    except ValueError as exc:
-        raise FileFormatError([f"{path}: {exc}"]) from None
+    return table

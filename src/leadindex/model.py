@@ -118,7 +118,7 @@ class JournalYearIF(_JournalYearIFFields):
 
     def __new__(cls, journal: str, year: int, impact_factor: float):
         if not journal:
-            raise ValueError("journal must be non-empty")
+            check_text("journal", journal)
         if not (math.isfinite(impact_factor) and impact_factor >= 0):
             raise ValueError(
                 f"impact_factor must be finite and >= 0, got {impact_factor}")
@@ -150,10 +150,9 @@ class InvestigatorProfile(_InvestigatorProfileFields):
                 gender: Optional[Gender] = None, birth_year: Optional[int] = None,
                 rank: Optional[Rank] = None, total_funding: Optional[float] = None,
                 currency: Optional[str] = None):
-        if not pi_id:
-            raise ValueError("pi_id must be non-empty")
-        if not country:
-            raise ValueError("country must be non-empty")
+        if not (pi_id and country):
+            check_text("pi_id", pi_id)
+            check_text("country", country)
         if tier not in TIERS:
             raise ValueError(f"tier must be 1, 2 or 3, got {tier}")
         if total_funding is not None:
@@ -179,11 +178,11 @@ class GrantRecord(_GrantFields):
 
     def __new__(cls, pi_id: str, year: int, amount: float, currency: str):
         if not pi_id:
-            raise ValueError("pi_id must be non-empty")
+            check_text("pi_id", pi_id)
         if not (math.isfinite(amount) and amount >= 0):
             raise ValueError(f"amount must be finite and >= 0, got {amount}")
         if not currency:
-            raise ValueError("currency must be non-empty")
+            check_text("currency", currency)
         return tuple.__new__(cls, (pi_id, year, amount, currency))
 
 

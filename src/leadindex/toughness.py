@@ -11,8 +11,10 @@ papers land is worth proportionally more.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import neg
 from typing import Iterable
 
 
@@ -36,12 +38,12 @@ class ToughnessTable:
     ``cutoffs`` holds the minimum impact factor of each level from the top,
     for levels 1..L-1 (the bottom level matches anything). ``level_sizes``
     records how many corpus papers landed in each level after boundary ties
-    were pulled up; its length is the level count L.
+    were pulled up; its length is the level count L. The corpus size and the
+    top level's size follow from these and ``divisor_mode``, so a table
+    cannot hold counts that disagree.
     """
 
     cutoffs: tuple[float, ...]
-    base_count: int
-    total_papers: int
     divisor_mode: DivisorMode
     level_sizes: tuple[int, ...]
 
@@ -50,9 +52,13 @@ class ToughnessTable:
         if len(self.cutoffs) != len(self.level_sizes) - 1:
             raise ValueError(f"{len(self.level_sizes)} level size(s) need one cutoff per "
                              f"level above the bottom, got {len(self.cutoffs)}")
-        for a, b in zip(self.cutoffs, self.cutoffs[1:]):
-            if b > a:
+        # Written so that a NaN, which bisect cannot order, fails too.
+        for a, b in zip((math.inf, *self.cutoffs), self.cutoffs):
+            if not b <= a:
                 raise ValueError("cutoffs must be non-increasing")
+        if min(self.level_sizes) < 0:
+            raise ValueError(f"level sizes must be >= 0, got {min(self.level_sizes)}")
+        self.base_count  # refuses too few papers for the levels
 
     @property
     def level_count(self) -> int:
@@ -63,6 +69,16 @@ class ToughnessTable:
     def weights(self) -> tuple[int, ...]:
         """Weight of each level from the top: L down to 1."""
         return tuple(range(self.level_count, 0, -1))
+
+    @property
+    def total_papers(self) -> int:
+        """Y: the corpus size, the sum of the level sizes."""
+        return sum(self.level_sizes)
+
+    @property
+    def base_count(self) -> int:
+        """X: the top level's size under ``divisor_mode``."""
+        return top_level_size(self.total_papers, self.level_count, self.divisor_mode)
 
 
 def estimate_paper_counts(
@@ -128,17 +144,15 @@ def build_table(
     if level_count < 1:
         raise ValueError("level_count must be >= 1")
     by_if: dict[float, int] = {}
-    total = 0
     for count, impact_factor in corpus:
         if count < 0:
             raise ValueError(f"paper_count must be >= 0, got {count}")
-        if impact_factor < 0:
+        if not impact_factor >= 0:
             raise ValueError(f"impact_factor must be >= 0, got {impact_factor}")
         if count:
             by_if[impact_factor] = by_if.get(impact_factor, 0) + count
-            total += count
 
-    base = top_level_size(total, level_count, divisor_mode)
+    base = top_level_size(sum(by_if.values()), level_count, divisor_mode)
     # Cumulative end position of each level above the bottom.
     boundaries = [base * (2**i - 1) for i in range(1, level_count)]
 
@@ -154,30 +168,19 @@ def build_table(
         position += group
 
     cutoffs: list[float] = []
-    for i in range(level_count - 1):
-        if level_min[i] is not None:
-            cutoffs.append(level_min[i])
-        else:
-            # Empty level: inherit the cutoff above so it can never match.
-            cutoffs.append(cutoffs[-1])
+    for minimum in level_min[:-1]:
+        # An empty level (never the top) inherits the cutoff above: it cannot match.
+        cutoffs.append(cutoffs[-1] if minimum is None else minimum)
 
-    return ToughnessTable(
-        cutoffs=tuple(cutoffs),
-        base_count=base,
-        total_papers=total,
-        divisor_mode=divisor_mode,
-        level_sizes=tuple(level_sizes),
-    )
+    return ToughnessTable(tuple(cutoffs), divisor_mode, tuple(level_sizes))
 
 
 def weight_of(table: ToughnessTable, impact_factor: float) -> int:
     """Toughness weight for an impact factor; ties on a cutoff weigh higher."""
-    if impact_factor < 0:
+    if not impact_factor >= 0:
         raise ValueError(f"impact_factor must be >= 0, got {impact_factor}")
-    for i, cutoff in enumerate(table.cutoffs):
-        if impact_factor >= cutoff:
-            return table.level_count - i
-    return 1
+    # Negated cutoffs ascend; the position counts the cutoffs above the IF.
+    return table.level_count - bisect_left(table.cutoffs, -impact_factor, key=neg)
 
 
 def weighted_if(table: ToughnessTable, impact_factor: float) -> float:

@@ -14,8 +14,6 @@ def two_level_table():
     """Tiny hand-built table: IF >= 3 weighs 2, everything else 1."""
     return ToughnessTable(
         cutoffs=(3.0,),
-        base_count=1,
-        total_papers=3,
         divisor_mode=DivisorMode.GEOMETRIC_SUM,
         level_sizes=(1, 2),
     )

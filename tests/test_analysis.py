@@ -312,7 +312,7 @@ def build_trend_dataset():
 
 @pytest.fixture
 def one_level_table():
-    return ToughnessTable((), 1, 1, DivisorMode.GEOMETRIC_SUM, (1,))
+    return ToughnessTable((), DivisorMode.GEOMETRIC_SUM, (1,))
 
 
 class TestTrend:

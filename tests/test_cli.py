@@ -184,6 +184,17 @@ class TestExitCodes:
         assert f"{table}: bad table metadata: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_table_marker_integer_past_the_csv_rule_is_1(self, dataset_dir, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("# toughness-table v=1 levels=0_3 divisor_mode=geometric_sum "
+                         "base_count=1 total_papers=7 level_sizes=1|2|4\n"
+                         "weight,min_if\n3,5.0\n2,2.0\n1,0.0\n")
+        out = tmp_path / "out"
+        assert main([*command_args("score", dataset_dir, out), "--table", str(table)]) == 1
+        err = capsys.readouterr().err
+        assert f"{table}: bad table metadata: levels: not an integer: '0_3'" in err
+        assert not out.exists()
+
     def test_toughness_build_takes_no_table(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["toughness-build", "--table", str(dataset_dir / "table.csv"),
@@ -510,8 +521,8 @@ class TestTwoEntryPaths:
     """The CLI's columns and validate_dataset over the records read from the
     same files give the same dataset, the same errors and the same scores."""
 
-    table = ToughnessTable(cutoffs=(3.0,), base_count=1, total_papers=3,
-                           divisor_mode=DivisorMode.GEOMETRIC_SUM, level_sizes=(1, 2))
+    table = ToughnessTable(cutoffs=(3.0,), divisor_mode=DivisorMode.GEOMETRIC_SUM,
+                           level_sizes=(1, 2))
 
     @staticmethod
     def _loaded(load):

@@ -297,8 +297,6 @@ class TestToughnessTableFile:
     def table(self):
         return ToughnessTable(
             cutoffs=(20.0, 9.5, 4.25),
-            base_count=7,
-            total_papers=106,
             divisor_mode=DivisorMode.GEOMETRIC_SUM,
             level_sizes=(7, 14, 28, 57),
         )
@@ -396,6 +394,28 @@ class TestToughnessTableFile:
         assert exc.value.errors == [
             f"{path}: bad table metadata: level_sizes sum to 107, total_papers is 106"]
 
+    @pytest.mark.parametrize("key,value,cell", [
+        ("v", "0_1", "0_1"), ("levels", "0_4", "0_4"), ("base_count", "0_7", "0_7"),
+        ("total_papers", "1_06", "1_06"), ("level_sizes", "7|14|28|5_7", "5_7"),
+    ])
+    def test_marker_integers_follow_the_csv_integer_rule(self, tmp_path, key, value, cell):
+        # int() reads each of these as the fixture's own value.
+        path = tmp_path / "table.csv"
+        self.write_marked(path, **{key: value})
+        with pytest.raises(FileFormatError) as exc:
+            read_toughness_table(path)
+        assert exc.value.errors == [
+            f"{path}: bad table metadata: {key}: not an integer: {cell!r}"]
+
+    def test_negative_level_size_rejected(self, tmp_path):
+        # The sizes still sum to total_papers, so only the sign is wrong.
+        path = tmp_path / "table.csv"
+        self.write_marked(path, level_sizes="7|14|-28|113")
+        with pytest.raises(FileFormatError) as exc:
+            read_toughness_table(path)
+        assert exc.value.errors == [
+            f"{path}: bad table metadata: level_sizes: must be >= 0, got -28"]
+
     def test_too_few_papers_for_the_levels_rejected(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("# toughness-table v=1 levels=3 divisor_mode=geometric_sum "
@@ -460,18 +480,15 @@ def expected_base_count(total, levels, mode):
 
 @st.composite
 def toughness_tables(draw):
-    """Any cutoffs, under metadata a table file may carry: level sizes that sum
-    to at least 2**levels - 1 papers, and the mode's base count of them."""
+    """Any cutoffs, over level sizes that sum to at least 2**levels - 1 papers."""
     levels = draw(st.integers(1, 12))
     cutoffs = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                             min_size=levels - 1, max_size=levels - 1))
     mode = draw(st.sampled_from(DivisorMode))
     level_sizes = draw(st.lists(COUNTS, min_size=levels, max_size=levels))
     level_sizes[-1] += 2**levels - 1
-    total = sum(level_sizes)
     return ToughnessTable(
         cutoffs=tuple(sorted(cutoffs, reverse=True)),
-        base_count=expected_base_count(total, levels, mode), total_papers=total,
         divisor_mode=mode, level_sizes=tuple(level_sizes),
     )
 

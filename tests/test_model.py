@@ -140,6 +140,19 @@ class TestInputRecords:
         with pytest.raises(AttributeError):
             record.extra = 1  # no instance dict either
 
+    @pytest.mark.parametrize("build, text", [
+        (lambda: JournalYearIF("", 2010, -1.0), "journal must be non-empty"),
+        (lambda: InvestigatorProfile("", "", 4), "pi_id must be non-empty"),
+        (lambda: InvestigatorProfile("P1", "", 4), "country must be non-empty"),
+        (lambda: GrantRecord("", 2010, -1.0, ""), "pi_id must be non-empty"),
+        (lambda: GrantRecord("P1", 2010, -1.0, ""), "amount must be finite and >= 0, got -1.0"),
+        (lambda: GrantRecord("P1", 2010, 1.0, ""), "currency must be non-empty"),
+    ])
+    def test_first_failed_check_names_the_field(self, build, text):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == text
+
     @pytest.mark.parametrize("total", [math.nan, math.inf, -1.0])
     def test_apply_funding_checks_the_new_total(self, total):
         with pytest.raises(ValueError, match="total_funding must be finite and >= 0"):

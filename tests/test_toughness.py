@@ -1,10 +1,12 @@
 """Toughness level construction and weight lookup."""
 
+import dataclasses
+import math
 import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leadindex.toughness import (
@@ -112,6 +114,9 @@ class TestBuildTable:
             build_table([(-1, 2.0), (2000, 1.0)])
         with pytest.raises(ValueError):
             build_table([(2000, -2.0)])
+        # A NaN IF would sort anywhere; in the bottom level it is no cutoff.
+        with pytest.raises(ValueError, match="impact_factor must be >= 0, got nan"):
+            build_table([(2000, 1.0), (1, math.nan)])
 
     def test_zero_count_rows_are_ignored(self):
         with_zero = build_table(distinct_if_corpus(1023) + [(0, 123.0)])
@@ -161,10 +166,64 @@ class TestBuildTable:
             assert weight_of(table, impact) == weight
 
 
+def scan_weight(table, impact_factor):
+    """The reference lookup: the first cutoff from the top that the IF reaches."""
+    for i, cutoff in enumerate(table.cutoffs):
+        if impact_factor >= cutoff:
+            return table.level_count - i
+    return 1
+
+
+@st.composite
+def built_tables(draw):
+    """build_table tables with tie groups, empty levels and single levels."""
+    levels = draw(st.integers(1, 9))
+    impacts = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25, 7.0, 40.0]) | st.floats(0, 1e6)
+    corpus = draw(st.lists(st.tuples(st.integers(0, 300), impacts), max_size=25))
+    short = 2**levels - 1 - sum(count for count, _ in corpus)
+    if short > 0:
+        corpus.append((short, draw(impacts)))
+    return build_table(corpus, levels, draw(st.sampled_from(DivisorMode)))
+
+
 class TestWeightOf:
     def test_rejects_negative_if(self, two_level_table):
         with pytest.raises(ValueError):
             weight_of(two_level_table, -1.0)
+
+    def test_rejects_nan_if(self, two_level_table):
+        with pytest.raises(ValueError, match="impact_factor must be >= 0, got nan"):
+            weight_of(two_level_table, math.nan)
+
+    @given(built_tables(), st.lists(st.floats(0, 1e7), max_size=10))
+    @example(build_table([(600, 5.0), (423, 1.0)]), [4.999])  # eight empty levels
+    @example(build_table([(5, 3.0)], 1), [3.0])  # one level, no cutoff
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_scan_over_cutoffs(self, table, extra):
+        probes = [0.0, math.inf, *extra]
+        for cutoff in table.cutoffs:
+            probes += [cutoff, math.nextafter(cutoff, 0.0), math.nextafter(cutoff, math.inf)]
+        for impact in probes:
+            assert weight_of(table, impact) == scan_weight(table, impact), impact
+
+    def test_lookup_does_not_grow_with_the_level_count(self):
+        """Levels x distinct IFs, as score_all looks them up: 8x the levels
+        must cost ~8x, not the 64x of a scan over every cutoff."""
+
+        def seconds(levels):
+            # One level per IF: 2**i papers at IF levels - i, base count 1.
+            table = build_table([(2**i, float(levels - i)) for i in range(levels)], levels)
+            impacts = [levels - i + 0.5 for i in range(levels)]
+            best = math.inf
+            for _ in range(5):
+                started = time.perf_counter()
+                for impact in impacts:
+                    weight_of(table, impact)
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        ratio = seconds(2_000) / seconds(250)
+        assert ratio < 25, f"8x the levels took {ratio:.1f}x as long"
 
     def test_weighted_if_is_multiplicative(self, two_level_table):
         assert weighted_if(two_level_table, 4.0) == 8.0
@@ -189,12 +248,37 @@ class TestTableInvariants:
 
     def test_cutoffs_must_not_increase(self):
         with pytest.raises(ValueError):
-            ToughnessTable((1.0, 5.0), 1, 7, DivisorMode.GEOMETRIC_SUM, (1, 2, 4))
+            ToughnessTable((1.0, 5.0), DivisorMode.GEOMETRIC_SUM, (1, 2, 4))
 
     def test_shape_mismatches_rejected(self):
         with pytest.raises(ValueError):
-            ToughnessTable((5.0,), 1, 7, DivisorMode.GEOMETRIC_SUM, (1, 2, 4))
+            ToughnessTable((5.0,), DivisorMode.GEOMETRIC_SUM, (1, 2, 4))
 
     def test_table_without_levels_rejected(self):
         with pytest.raises(ValueError):
-            ToughnessTable((), 0, 0, DivisorMode.GEOMETRIC_SUM, ())
+            ToughnessTable((), DivisorMode.GEOMETRIC_SUM, ())
+
+    def test_counts_are_derived_not_stored(self):
+        table = ToughnessTable((5.0, 2.0), DivisorMode.HALF_POW, (3, 6, 14))
+        assert [f.name for f in dataclasses.fields(table)] == [
+            "cutoffs", "divisor_mode", "level_sizes"]
+        assert table.total_papers == 23
+        assert table.base_count == 23 // 4
+        for name in ("total_papers", "base_count", "level_count", "weights"):
+            with pytest.raises(AttributeError):
+                setattr(table, name, 1)
+
+    def test_negative_level_size_rejected(self):
+        with pytest.raises(ValueError, match=r"^level sizes must be >= 0, got -1$"):
+            ToughnessTable((5.0, 2.0), DivisorMode.GEOMETRIC_SUM, (8, -1, 100))
+
+    def test_too_few_papers_rejected_with_the_divisor_rule_text(self):
+        with pytest.raises(ValueError) as exc:
+            ToughnessTable((5.0, 2.0), DivisorMode.GEOMETRIC_SUM, (1, 1, 3))
+        assert str(exc.value) == "corpus has 5 papers, need at least 2**3 - 1 for 3 levels"
+
+    @pytest.mark.parametrize("cutoffs", [(math.nan,), (math.nan, 1.0), (5.0, math.nan)])
+    def test_nan_cutoff_rejected(self, cutoffs):
+        sizes = tuple(2**i for i in range(len(cutoffs) + 1))
+        with pytest.raises(ValueError, match=r"^cutoffs must be non-increasing$"):
+            ToughnessTable(cutoffs, DivisorMode.GEOMETRIC_SUM, sizes)
