@@ -17,7 +17,7 @@ from .credit import CreditScenario
 from .errors import DataValidationError
 from .metrics import _metrics, _valuer
 from .model import ScoreCard, ValidatedDataset
-from .stats import mean, mean_sd, pearson, significance_mark, welch_t_test
+from .stats import _welch, mean, mean_sd, pearson, significance_mark
 from .toughness import ToughnessTable
 
 # Metric keys of a scorecard as they appear in cohort reports, in report
@@ -173,29 +173,27 @@ def cohort_report(
             continue
         by_group.setdefault(label, []).append(card)
 
-    labels = sorted(by_group, key=lambda g: _group_sort_key(grouping, g))
-    reference = by_group.get(reference_group, []) if reference_group is not None else []
+    # Per group, in report order, one (n, mean, sd) per metric: each comparison
+    # reads these, so the reference group's values are summed once in all.
+    moments = {
+        label: [(len(cards), *mean_sd([float(getattr(c, metric)) for c in cards]))
+                for metric in COHORT_METRICS]
+        for label, cards in sorted(by_group.items(),
+                                   key=lambda item: _group_sort_key(grouping, item[0]))
+    }
+    reference = moments.get(reference_group)
+    compare = reference is not None and reference[0][0] >= 2
 
     summaries = []
-    for label in labels:
-        cards = by_group[label]
+    for label, rows in moments.items():
         metrics: dict[str, MetricSummary] = {}
-        for metric in COHORT_METRICS:
-            values = [float(getattr(c, metric)) for c in cards]
-            center, sd = mean_sd(values)
-            p = None
-            mark = ""
-            if (
-                reference_group is not None
-                and label != reference_group
-                and len(values) >= 2
-                and len(reference) >= 2
-            ):
-                ref_values = [float(getattr(c, metric)) for c in reference]
-                _, _, p = welch_t_test(values, ref_values)
-                mark = significance_mark(p)
-            metrics[metric] = MetricSummary(mean=center, sd=sd, p=p, mark=mark)
-        summaries.append(CohortSummary(group=label, n=len(cards), metrics=metrics))
+        for k, metric in enumerate(COHORT_METRICS):
+            n, center, sd = rows[k]
+            metrics[metric] = MetricSummary(center, sd)
+            if compare and label != reference_group and n >= 2:
+                _, _, p = _welch(*rows[k], *reference[k])
+                metrics[metric] = MetricSummary(center, sd, p, significance_mark(p))
+        summaries.append(CohortSummary(group=label, n=n, metrics=metrics))
 
     return CohortReport(
         grouping=grouping,

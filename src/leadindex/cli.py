@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
@@ -174,14 +175,20 @@ def cmd_score(args) -> Iterable[Path]:
 
 def cmd_report_cohort(args) -> Iterable[Path]:
     dataset, cards = _scored(args)
-    report = cohort_report(
-        dataset, cards, args.grouping,
-        reference_group=args.reference_group,
-        age_reference_year=args.age_reference_year,
-    )
+    # One note counts the constant-groups warnings, which would print source lines.
+    with warnings.catch_warnings(record=True) as constant:
+        warnings.simplefilter("always")
+        report = cohort_report(
+            dataset, cards, args.grouping,
+            reference_group=args.reference_group,
+            age_reference_year=args.age_reference_year,
+        )
     log.info("cohort: %d group(s); excluded %d unscored, %d without %s",
              len(report.groups), report.unscored, report.unknown_group,
              args.grouping.value)
+    if constant:
+        log.info("note: %d comparison(s) of constant groups with different means "
+                 "took p = 0 by convention", len(constant))
     return reports.emit_cohort(report, args.out_dir, args.format)
 
 

@@ -33,6 +33,7 @@ Pathish = Union[str, Path]
 
 _TABLE_MARKER = "# toughness-table"
 _TABLE_VERSION = 1
+_TABLE_KEYS = ("v", "levels", "divisor_mode", "base_count", "total_papers", "level_sizes")
 
 _FLOAT_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 
@@ -360,11 +361,9 @@ def _write_csv(
     is in the line terminator, so the writer is given "\r\n" and each row
     it hands over (whole, in one write call) is stored ending in "\n".
 
-    Tuple rows are taken ``_CHUNK`` at a time. A chunk is formatted in one
-    pass, and written as formatted where csv.writer would write the same
-    text; any other chunk goes to csv.writer row by row. From the first row
-    that is not a tuple on (report rows are lists), rows go to csv.writer
-    as they come, so no chunk of them is held.
+    Rows are taken ``_CHUNK`` at a time. A chunk is formatted in one pass,
+    and written as formatted where csv.writer would write the same text;
+    any other chunk goes to csv.writer row by row.
     """
     width = len(header)
     template = ",".join(["%s"] * width) + "\n"
@@ -375,12 +374,7 @@ def _write_csv(
         w = csv.writer(sink, lineterminator="\r\n")
         w.writerow(header)
         rows = iter(rows)
-        for first in rows:
-            if not isinstance(first, tuple):
-                w.writerow(first)
-                w.writerows(rows)
-                break
-            chunk = [first, *islice(rows, _CHUNK - 1)]
+        while chunk := list(islice(rows, _CHUNK)):
             text = _formatted(chunk, template, width)
             if text is None:
                 w.writerows(chunk)
@@ -463,9 +457,15 @@ def read_toughness_table(path: Pathish) -> ToughnessTable:
         marker = f.readline().rstrip("\n")
         if not marker.startswith(_TABLE_MARKER + " "):
             raise FileFormatError([f"{path}: not a toughness table file"])
-        meta = dict(token.partition("=")[::2]
-                    for token in marker[len(_TABLE_MARKER) + 1 :].split())
+        meta: dict[str, str] = {}
         try:
+            for token in marker[len(_TABLE_MARKER) + 1 :].split():
+                key, equals, value = token.partition("=")
+                if not equals or key not in _TABLE_KEYS:
+                    raise ValueError(f"unknown token {token!r}")
+                if key in meta:
+                    raise ValueError(f"repeated key {key!r}")
+                meta[key] = value
             version = _parse_int(meta.get("v", "0"), "v")
             levels = _parse_int(meta["levels"], "levels")
             mode = DivisorMode(meta["divisor_mode"])

@@ -249,17 +249,6 @@ class ValidatedDataset:
         """Impact factor per paper_id, built on first read; scoring does not read it."""
         return dict(zip(self.columns[0], self._ifs))
 
-    def corresponding_papers(
-        self, pi_id: str, period: Optional[tuple[int, int]] = None
-    ) -> list[PublicationRecord]:
-        """Scoring-eligible records of one investigator, optionally by period."""
-        rows = self._by_pi.get(pi_id, ())
-        if period is not None:
-            start, end = period
-            years = self.columns[2]
-            rows = [k for k in rows if start <= years[k] <= end]
-        return [PublicationRecord._make(column[k] for column in self.columns) for k in rows]
-
     @property
     def pi_ids(self) -> list[str]:
         return sorted(self.profiles)

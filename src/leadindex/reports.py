@@ -56,7 +56,8 @@ def _write_rows(out_dir: Pathish, name: str, columns: Sequence[str],
     if fmt == "csv":
         path = _target(out_dir, f"{name}.csv")
         _write_csv(path, columns, (
-            [fmt_float(v) if isinstance(v, float) else v for v in row] for row in rows
+            tuple(fmt_float(v) if v is None or isinstance(v, float) else v for v in row)
+            for row in rows
         ))
     elif fmt == "json":
         path = _target(out_dir, f"{name}.json")

@@ -133,8 +133,12 @@ def welch_t_test(a: list[float], b: list[float]) -> tuple[float, float, float]:
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise ValueError("welch_t_test requires at least two values per sample")
-    mean_a, sd_a = mean_sd(a)
-    mean_b, sd_b = mean_sd(b)
+    return _welch(na, *mean_sd(a), nb, *mean_sd(b))
+
+
+def _welch(na: int, mean_a: float, sd_a: float,
+           nb: int, mean_b: float, sd_b: float) -> tuple[float, float, float]:
+    """welch_t_test from each sample's size (>= 2), mean and SD, as mean_sd gives them."""
     # Variances in units of the larger SD, so squaring neither overflows
     # nor underflows.
     scale, (ua, ub) = _unit_deviations([sd_a, sd_b], 0.0)
@@ -147,7 +151,7 @@ def welch_t_test(a: list[float], b: list[float]) -> tuple[float, float, float]:
         warnings.warn(
             "welch_t_test: both samples constant with different values; "
             "p = 0 by convention",
-            stacklevel=2,
+            stacklevel=3,  # the caller of welch_t_test or of cohort_report
         )
         return math.copysign(math.inf, mean_a - mean_b), df, 0.0
     t = (mean_a - mean_b) / scale / math.sqrt(va_n + vb_n)

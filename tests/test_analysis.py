@@ -2,6 +2,8 @@
 
 import math
 import random
+import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from leadindex.model import (
     ScoreCard,
     validate_dataset,
 )
-from leadindex.stats import significance_mark
+from leadindex.stats import mean_sd, significance_mark, welch_t_test
 from leadindex.toughness import DivisorMode, ToughnessTable
 
 # Two groups drawn from one normal distribution (seeded, reference Welch
@@ -38,6 +40,10 @@ SAME_DIST_G2 = [26.7497, 47.8121, 37.5409, 42.6773, 44.5574, 46.837, 54.1163,
                 60.4251, 48.7147, 63.6646, 43.3481, 53.5151, 59.0347, 50.9401,
                 42.565]
 SAME_DIST_P = 0.5312795416473539
+
+# Card values for cohort properties: a few exact repeats, so that constant
+# groups and equal means turn up, and any other value in range.
+COHORT_VALUES = st.sampled_from([0.0, 1.5, 37.25]) | st.floats(0.0, 100.0)
 
 
 def profiles_dataset(profiles):
@@ -228,6 +234,63 @@ class TestCohortReport:
         assert [g.group for g in by_rank.groups] == ["assist_professor", "professor"]
         by_country = cohort_report(dataset, cards, Grouping.COUNTRY)
         assert [g.group for g in by_country.groups] == ["CN", "US"]
+
+    @given(
+        groups=st.dictionaries(
+            st.sampled_from("ABCD"),
+            st.lists(COHORT_VALUES, min_size=1, max_size=5)
+            | st.builds(lambda v, n: [v] * n, COHORT_VALUES, st.integers(1, 5)),
+            min_size=1),
+        reference=st.sampled_from(["A", "B", "C", "D", "E", None]),  # E: no such group
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_moments_match_welch_on_plain_lists(self, groups, reference):
+        """Every mean, sd, p and mark equals what mean_sd and welch_t_test give
+        on the group's and the reference group's own values, bit for bit."""
+        profiles, cards = [], []
+        for label, values in groups.items():
+            for i, v in enumerate(values):
+                profiles.append(InvestigatorProfile(f"{label}{i}", label, 1))
+                cards.append(card_from_leadership(f"{label}{i}", v, paper_count=1 + int(v) % 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # constant groups with different means
+            report = cohort_report(profiles_dataset(profiles), cards, Grouping.COUNTRY,
+                                   reference_group=reference)
+            assert [g.group for g in report.groups] == sorted(groups)
+            for group in report.groups:
+                members = [c for c in cards if c.pi_id[0] == group.group]
+                ref = [c for c in cards if c.pi_id[0] == reference]
+                for metric, summary in group.metrics.items():
+                    values = [float(getattr(c, metric)) for c in members]
+                    assert (summary.mean, summary.sd) == mean_sd(values)
+                    if group.group == reference or len(members) < 2 or len(ref) < 2:
+                        assert (summary.p, summary.mark) == (None, "")
+                        continue
+                    _, _, p = welch_t_test(values, [float(getattr(c, metric)) for c in ref])
+                    assert (summary.p, summary.mark) == (p, significance_mark(p))
+
+    def test_comparisons_do_not_grow_with_the_reference_size(self):
+        """Half the cards in the reference country, two-card countries for the
+        rest: 8x the cards must cost ~8x, not the 64x of reading the reference
+        group's values again for every other group."""
+
+        def seconds(n):
+            rng = random.Random(n)
+            profiles, cards = [], []
+            for i in range(n):
+                pid = f"P{i:05d}"
+                profiles.append(InvestigatorProfile(pid, "REF" if i < n // 2 else f"C{i // 2}", 1))
+                cards.append(card_from_leadership(pid, rng.uniform(1.0, 100.0)))
+            dataset = profiles_dataset(profiles)
+            best = math.inf
+            for _ in range(5):
+                started = time.perf_counter()
+                cohort_report(dataset, cards, Grouping.COUNTRY, reference_group="REF")
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        ratio = seconds(2_000) / seconds(250)
+        assert ratio < 25, f"8x the cards took {ratio:.1f}x as long"
 
 
 class TestBinByTime:

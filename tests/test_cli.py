@@ -195,6 +195,20 @@ class TestExitCodes:
         assert f"{table}: bad table metadata: levels: not an integer: '0_3'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra,error", [
+        ("levels=2", "repeated key 'levels'"), ("garbage", "unknown token 'garbage'")])
+    def test_table_marker_repeated_key_or_unknown_token_is_1(
+            self, dataset_dir, tmp_path, capsys, extra, error):
+        # Without either extra token the file is a valid 3-level table.
+        table = tmp_path / "table.csv"
+        table.write_text(f"# toughness-table v=1 levels=3 divisor_mode=geometric_sum {extra} "
+                         "base_count=1 total_papers=7 level_sizes=1|2|4\n"
+                         "weight,min_if\n3,5.0\n2,2.0\n1,0.0\n")
+        out = tmp_path / "out"
+        assert main([*command_args("score", dataset_dir, out), "--table", str(table)]) == 1
+        assert f"{table}: bad table metadata: {error}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_toughness_build_takes_no_table(self, dataset_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["toughness-build", "--table", str(dataset_dir / "table.csv"),
@@ -554,8 +568,7 @@ class TestTwoEntryPaths:
                 assert got.publications == expected.publications == tuple(papers)
                 assert [(k, repr(v)) for k, v in got.resolved_if.items()] == [
                     (k, repr(v)) for k, v in expected.resolved_if.items()]
-                for pi in got.pi_ids:
-                    assert got.corresponding_papers(pi) == expected.corresponding_papers(pi)
+                assert got._by_pi == expected._by_pi
                 assert got.warnings == expected.warnings
                 for scenario in CreditScenario:
                     assert score_all(got, (2010, 2012), self.table, scenario) == score_all(
@@ -821,6 +834,30 @@ class TestReports:
             assert all(math.isfinite(float(row[c])) for c in ("mean", "sd") if row[c])
         lead = next(r for r in rows if r["group"] == "1" and r["metric"] == "leadership")
         assert float(lead["p"]) <= 1.0
+
+    def test_constant_groups_give_a_note_not_a_python_warning(self, dataset_dir, tmp_path):
+        """Two sole authors per class, class 1 in JA and class 2 in JB: every
+        metric is constant within a class, and four of them differ between
+        the classes. stderr is read from a fresh process, as a user sees it."""
+        root = write_inputs(tmp_path / "data", dataset_dir, [
+            PublicationRecord(f"p{i}", f"P{i}", 2010, "JA" if i < 3 else "JB", 1, 1)
+            for i in range(1, 5)
+        ], [JournalYearIF("JA", 2010, 2.0), JournalYearIF("JB", 2010, 3.0)],
+            [InvestigatorProfile(f"P{i}", "CN", 1 if i < 3 else 2) for i in range(1, 5)])
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "leadindex.cli",
+             *command_args("report-cohort", root, out), "--reference-group", "1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert ("note: 4 comparison(s) of constant groups with different means "
+                "took p = 0 by convention\n") in proc.stderr
+        assert "UserWarning" not in proc.stderr
+        assert ".py:" not in proc.stderr
+        rows = list(csv.DictReader((out / "cohort_class.csv").open()))
+        compared = {r["metric"]: (r["p"], r["mark"]) for r in rows if r["group"] == "2"}
+        assert sorted(compared.values()) == [("0", "**")] * 4 + [("1", "")] * 2
 
     def test_means_of_sums_beyond_float_range(self, dataset_dir, tmp_path, capsys):
         """Two sole authors at IF 1.5e307: each card is finite, their sum is not."""

@@ -407,6 +407,21 @@ class TestToughnessTableFile:
         assert exc.value.errors == [
             f"{path}: bad table metadata: {key}: not an integer: {cell!r}"]
 
+    @pytest.mark.parametrize("extra,error", [
+        ("levels=2", "repeated key 'levels'"),  # a dict keeps the last
+        ("v=1", "repeated key 'v'"),
+        ("garbage", "unknown token 'garbage'"),  # a dict keeps it, unread
+        ("mode=half_pow", "unknown token 'mode=half_pow'"),
+    ])
+    def test_marker_refuses_repeated_keys_and_unknown_tokens(self, tmp_path, extra, error):
+        path = tmp_path / "table.csv"
+        write_toughness_table(path, self.table())
+        marker, rest = path.read_text().split("\n", 1)
+        path.write_text(f"{marker} {extra}\n{rest}")
+        with pytest.raises(FileFormatError) as exc:
+            read_toughness_table(path)
+        assert exc.value.errors == [f"{path}: bad table metadata: {error}"]
+
     def test_negative_level_size_rejected(self, tmp_path):
         # The sizes still sum to total_papers, so only the sign is wrong.
         path = tmp_path / "table.csv"
@@ -927,9 +942,9 @@ class TestWriterMatchesCsvWriter:
             got = _written(_write_csv, header, rows, marker)
         assert got == _written(_per_row_write_csv, header, rows, marker)
 
-    def test_rows_that_start_with_a_list_are_not_chunked(self, tmp_path):
-        """Report rows are lists: they stream to csv.writer, as many as they are.
-        Only a chunk's first row decides: one chunk of tuples comes first."""
+    def test_a_chunk_holding_a_list_goes_to_csv_writer(self, tmp_path):
+        """Every chunk is offered to the formatter, whatever its rows are; the
+        one whose first row is a list gets csv.writer's bytes."""
         rows = ([("a", 1)] * fileio._CHUNK + [["b", 2]]
                 + [("c", 3)] * (2 * fileio._CHUNK))
         formatted, format_chunk = [], fileio._formatted
@@ -942,7 +957,7 @@ class TestWriterMatchesCsvWriter:
             _write_csv(tmp_path / "got.csv", ["x", "y"], iter(rows))
         _per_row_write_csv(tmp_path / "expected.csv", ["x", "y"], rows)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
-        assert formatted == [fileio._CHUNK]
+        assert formatted == [fileio._CHUNK] * 3 + [1]
 
     def test_lone_empty_cell_is_quoted(self, tmp_path):
         path = tmp_path / "one.csv"

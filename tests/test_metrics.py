@@ -316,8 +316,12 @@ def per_paper_valuer(dataset, table, scenario):
     tied = scenario is CreditScenario.TIED
 
     def valued(pi_id, period):
+        start, end = period
         papers = []
-        for rec in dataset.corresponding_papers(pi_id, period):
+        for k in dataset._by_pi.get(pi_id, ()):
+            rec = dataset.publications[k]
+            if not start <= rec.year <= end:
+                continue
             raw = dataset.resolved_if[rec.paper_id]
             share = a_index(rec.author_count, rec.credit_position,
                             rec.tie_span if tied else 1)

@@ -187,10 +187,10 @@ class TestValidateDataset:
         assert small_dataset.resolved_if["p3"] == 4.5
         assert small_dataset.pi_ids == ["P1", "P2", "P3"]
 
-    def test_corresponding_filter_and_period(self, small_dataset):
-        assert [r.paper_id for r in small_dataset.corresponding_papers("P1")] == ["p1", "p2"]
-        assert small_dataset.corresponding_papers("P1", (2011, 2012)) == []
-        assert small_dataset.corresponding_papers("P3") == []
+    def test_corresponding_rows_per_investigator(self, small_dataset):
+        paper_ids = small_dataset.columns[0]
+        assert [paper_ids[k] for k in small_dataset._by_pi["P1"]] == ["p1", "p2"]
+        assert "P3" not in small_dataset._by_pi
 
     def test_non_corresponding_counted_in_warnings(self, small_dataset):
         assert any("non-corresponding" in w for w in small_dataset.warnings)
@@ -500,9 +500,9 @@ class TestValidationMatchesRowByRow:
         assert [(k, repr(v)) for k, v in dataset.resolved_if.items()] == [
             (k, repr(v)) for k, v in resolved.items()]
         assert dataset.warnings == warnings
+        paper_ids = dataset.columns[0]
         for pi in pi_ids:
-            papers_of = dataset.corresponding_papers(pi)
-            assert [r.paper_id for r in papers_of] == by_pi.get(pi, [])
             rows = dataset._by_pi.get(pi, ())
-            assert [(dataset.publications[k], repr(dataset._ifs[k])) for k in rows] == [
-                (r, repr(resolved[r.paper_id])) for r in papers_of]
+            assert [paper_ids[k] for k in rows] == by_pi.get(pi, [])
+            assert [repr(dataset._ifs[k]) for k in rows] == [
+                repr(resolved[paper_ids[k]]) for k in rows]
