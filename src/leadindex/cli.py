@@ -106,6 +106,10 @@ def _load_dataset(args: argparse.Namespace) -> ValidatedDataset:
     log.info("publications: %d total, %d corresponding-author",
              len(paper_ids), sum(corresponding))
     log.info("profiles: %d investigators", len(dataset.profiles))
+    unprofiled = len(totals.keys() - dataset.profiles.keys())
+    if unprofiled:
+        log.info("note: %d investigator(s) in grants have no profile; "
+                 "their grants are ignored", unprofiled)
     for warning in dataset.warnings:
         log.info("note: %s", warning)
     return dataset

@@ -15,7 +15,7 @@ import re
 from itertools import chain, islice, repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import FileFormatError
 from .model import (
@@ -145,48 +145,28 @@ CORPUS_HEADER = [name for name, _ in _CORPUS]
 _TABLE_HEADER = [name for name, _ in _TABLE]
 
 
-def _tuple(*values):
-    return values
+def _built(record) -> Callable:
+    """A check that builds ``record`` of each row and drops it: the constructor
+    stays the one copy of the record's rules."""
+
+    def check(columns) -> None:
+        for _ in map(record, *columns):
+            pass
+
+    return check
 
 
-class _Result(NamedTuple):
-    """What _parse_columns builds: ``width`` result columns.
+def _parse_columns(path: Pathish, f, columns, check: Callable | None = None,
+                   header_line: int = 1) -> list[list]:
+    """Check the header line of ``f``, then read its data rows as value columns.
 
-    ``row(*values)`` gives one row's item of each result column, and
-    ``chunk(columns)`` the result columns of a chunk's value columns. Both
-    raise ValueError for a row a record refuses.
-    """
-
-    width: int
-    row: Callable
-    chunk: Callable
-
-
-def _records(make) -> _Result:
-    """One result column, holding ``make(*values)`` of each row."""
-    return _Result(1, lambda *values: (make(*values),),
-                   lambda columns: [list(map(make, *columns))])
-
-
-# The publications as their value columns. A row goes through
-# PublicationRecord, whose items are its values; a chunk's columns are
-# checked once per distinct key, and no record is built.
-_PUBLICATION_COLUMNS = _Result(len(_PUBLICATIONS), PublicationRecord,
-                               check_publication_columns)
-
-
-def _parse_rows(path: Pathish, f, columns, make, header_line: int = 1) -> list:
-    """``make(*values)`` of each data row of ``f``, as _parse_columns reads them."""
-    return _parse_columns(path, f, columns, _records(make), header_line)[0]
-
-
-def _parse_columns(path: Pathish, f, columns, result: _Result, header_line: int = 1) -> list:
-    """Check the header line of ``f``, then build the result columns of its data rows.
-
-    Every bad row is reported as ``path:line: ...``, at the line the row
-    starts on, and all of them are raised together. A row is named by its
-    leftmost cell that fails to parse; only a row whose cells all parse is
-    then checked by its record. ``header_line`` is the file line ``f``
+    The result holds one list per (column, parser) of ``columns``. Every bad
+    row is reported as ``path:line: ...``, at the line the row starts on,
+    and all of them are raised together. A row is named by its leftmost cell
+    that fails to parse; only a row whose cells all parse is then given to
+    ``check``, which raises ValueError for a row it refuses. ``check`` takes
+    value columns: a chunk's, or one row's as one-item columns, and for one
+    row its text is that row's own. ``header_line`` is the file line ``f``
     starts at.
 
     Rows are read ``_CHUNK`` lines at a time and parsed a column at a time
@@ -210,14 +190,14 @@ def _parse_columns(path: Pathish, f, columns, result: _Result, header_line: int 
     # Each column's memo maps cell text to its value; a bad cell raises
     # before it is stored, so it is reported on every line it appears on.
     memos = [(i, name, parse, {}) for i, (name, parse) in enumerate(columns)]
-    out = [[] for _ in range(result.width)]
+    out = [[] for _ in range(width)]
     start = reader.line_num + header_line  # file line the next row starts on
     lines = []
     # A blank line is a row of no cells to csv.reader, which only its comma
     # count tells apart from a row of one empty cell.
     while width > 1:
         lines = list(islice(f, _CHUNK))
-        chunk = _columnar(lines, memos, result.chunk) if lines else None
+        chunk = _columnar(lines, memos, check) if lines else None
         if chunk is None:
             break
         for column, part in zip(out, chunk):
@@ -243,9 +223,11 @@ def _parse_columns(path: Pathish, f, columns, result: _Result, header_line: int 
                         if len(memo) < _MEMO_LIMIT:
                             memo[text] = value
                     row[i] = value
-                for column, item in zip(out, result.row(*row)):
-                    column.append(item)
-            except ValueError as exc:  # _RowError or model invariant violation
+                if check is not None:
+                    check([[value] for value in row])
+                for column, value in zip(out, row):
+                    column.append(value)
+            except ValueError as exc:  # _RowError or a check's refusal
                 errors.append(f"{path}:{line}: {exc}")
     except csv.Error as exc:  # such as a cell over csv.field_size_limit()
         # The reader stops inside the row, so no later row can be told apart.
@@ -255,13 +237,13 @@ def _parse_columns(path: Pathish, f, columns, result: _Result, header_line: int 
     return out
 
 
-def _columnar(lines: list, memos, chunk) -> list | None:
-    """``chunk`` of the value columns of ``lines``, one row per line, parsed a column at a time.
+def _columnar(lines: list, memos, check: Callable | None) -> list[list] | None:
+    """The value columns of ``lines``, one row per line, parsed a column at a time.
 
     None when csv.reader might read the lines otherwise (a quote, a lone
     carriage return, a line of the wrong field count, a cell that may pass
     csv.field_size_limit(), a NUL, which it refuses before Python 3.11) or
-    when a cell or a record check fails: the row loop then reads them, and
+    when a cell or ``check`` fails: the row loop then reads them, and
     reports what is wrong.
     """
     width, n = len(memos), len(lines)
@@ -301,14 +283,16 @@ def _columnar(lines: list, memos, chunk) -> list | None:
                                  for cell in new})
                     col = list(map(memo.__getitem__, col))
             cols.append(col)
-        return chunk(cols)
-    except ValueError:  # _RowError or model invariant violation
+        if check is not None:
+            check(cols)
+        return cols
+    except ValueError:  # _RowError or a check's refusal
         return None
 
 
-def _read_csv(path: Pathish, columns, make) -> list:
+def _read_columns(path: Pathish, columns, check: Callable | None = None) -> list[list]:
     with open(path, newline="", encoding="utf-8") as f:
-        return _parse_rows(path, f, columns, make)
+        return _parse_columns(path, f, columns, check)
 
 
 def read_publications(path: Pathish) -> list[PublicationRecord]:
@@ -324,29 +308,34 @@ def read_publications(path: Pathish) -> list[PublicationRecord]:
 def read_publication_columns(path: Pathish) -> list[list]:
     """The publications as one list per PublicationRecord field, in field order.
 
-    Every row is checked as PublicationRecord checks it, and a bad row is
-    reported with its line, but no record is kept: model.validate_columns
-    takes the lists.
+    Every row is checked as PublicationRecord checks it, each distinct credit
+    triple once per chunk, and a bad row is reported with its line, but no
+    record is kept: model.validate_columns takes the lists.
     """
-    with open(path, newline="", encoding="utf-8") as f:
-        return _parse_columns(path, f, _PUBLICATIONS, _PUBLICATION_COLUMNS)
+    return _read_columns(path, _PUBLICATIONS, check_publication_columns)
+
+
+def _read_records(path: Pathish, columns, record) -> list:
+    """``record`` of each row, in file order: each row is checked by building
+    its record once, and the kept records are built with _make."""
+    return list(map(record._make, zip(*_read_columns(path, columns, _built(record)))))
 
 
 def read_journals(path: Pathish) -> list[JournalYearIF]:
-    return _read_csv(path, _JOURNALS, JournalYearIF)
+    return _read_records(path, _JOURNALS, JournalYearIF)
 
 
 def read_profiles(path: Pathish) -> list[InvestigatorProfile]:
-    return _read_csv(path, _PROFILES, InvestigatorProfile)
+    return _read_records(path, _PROFILES, InvestigatorProfile)
 
 
 def read_grants(path: Pathish) -> list[GrantRecord]:
-    return _read_csv(path, _GRANTS, GrantRecord)
+    return _read_records(path, _GRANTS, GrantRecord)
 
 
 def read_toughness_corpus(path: Pathish) -> list[tuple[str, int, int, float]]:
     """Rows of (journal, year, total_citations, impact_factor)."""
-    return _read_csv(path, _CORPUS, _tuple)
+    return list(zip(*_read_columns(path, _CORPUS)))
 
 
 def _write_csv(
@@ -477,17 +466,16 @@ def read_toughness_table(path: Pathish) -> ToughnessTable:
             raise FileFormatError([f"{path}: bad table metadata: {exc}"]) from None
         if version != _TABLE_VERSION:
             raise FileFormatError([f"{path}: unsupported table version {version}"])
-        rows = _parse_rows(path, f, _TABLE, _tuple, header_line=2)
+        weights, floors = _parse_columns(path, f, _TABLE, header_line=2)
 
-    weights = [weight for weight, _ in rows]
     # The row count first: the marker's levels= is not bounded by the file.
-    if levels < 1 or len(rows) != levels or weights != list(range(levels, 0, -1)):
+    if levels < 1 or len(weights) != levels or weights != list(range(levels, 0, -1)):
         raise FileFormatError([f"{path}: weights must run {levels}..1, got {weights}"])
     try:
         # The declared total first, so too few papers reads as bad metadata.
         top_level_size(total_papers, levels, mode)
         try:
-            table = ToughnessTable(tuple(cut for _, cut in rows[:-1]), mode, level_sizes)
+            table = ToughnessTable(tuple(floors[:-1]), mode, level_sizes)
         except ValueError as exc:
             raise FileFormatError([f"{path}: {exc}"]) from None
         # The marker's counts must be the table's own.

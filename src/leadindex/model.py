@@ -400,26 +400,26 @@ def validate_columns(
     )
 
 
-def aggregate_grants(grants: Iterable[GrantRecord]) -> dict[str, tuple[float, str]]:
+def aggregate_grants(grants: Iterable[Sequence]) -> dict[str, tuple[float, str]]:
     """Total funding per investigator; mixed currencies for one PI are an error.
 
-    Each total is one correctly rounded ``math.fsum`` of the investigator's
-    amounts in their first currency, so the order of the rows cannot change it.
+    ``grants`` holds GrantRecords or plain (pi_id, year, amount, currency)
+    rows. Each total is one correctly rounded ``math.fsum`` of the
+    investigator's amounts in their first currency, so the order of the rows
+    cannot change it.
     """
     amounts: dict[str, tuple[list[float], str]] = {}
     errors: list[str] = []
-    for g in grants:
-        if g.pi_id in amounts:
-            values, currency = amounts[g.pi_id]
-            if currency != g.currency:
+    for pi_id, _, amount, currency in grants:
+        if pi_id in amounts:
+            values, first = amounts[pi_id]
+            if first != currency:
                 errors.append(
-                    f"pi_id {g.pi_id}: grants in multiple currencies "
-                    f"({currency}, {g.currency})"
-                )
+                    f"pi_id {pi_id}: grants in multiple currencies ({first}, {currency})")
                 continue
-            values.append(g.amount)
+            values.append(amount)
         else:
-            amounts[g.pi_id] = ([g.amount], g.currency)
+            amounts[pi_id] = ([amount], currency)
     totals: dict[str, tuple[float, str]] = {}
     for pi_id, (values, currency) in amounts.items():
         try:

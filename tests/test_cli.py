@@ -372,6 +372,30 @@ class TestScore:
         assert all(r["l_fund"] == "" for r in plain)
         assert any(r["l_fund"] != "" for r in funded)
 
+    def test_grants_without_a_profile_are_noted_and_ignored(
+            self, dataset_dir, tmp_path, caplog):
+        """A grants row for an investigator with no profile changes no report,
+        and one note after the profiles line counts such investigators."""
+        caplog.set_level(logging.INFO, logger="leadindex")
+        grants = dataset_dir / "grants.csv"
+        extra = tmp_path / "grants.csv"
+        extra.write_text(grants.read_text() + "PX,2010,5.0,USD\n")
+        common = ["score", *dataset_flags(dataset_dir),
+                  "--table", str(dataset_dir / "table.csv"), "--period", "2008:2013"]
+        note = "note: 1 investigator(s) in grants have no profile; their grants are ignored"
+        messages = []
+        for name, path in (("plain", grants), ("extra", extra)):
+            caplog.clear()
+            assert main([*common, "--grants", str(path),
+                         "--out-dir", str(tmp_path / name)]) == 0
+            messages.append([m for m in caplog.messages if not m.startswith("wrote ")])
+        plain, with_extra = messages
+        assert note not in plain
+        k = [m.startswith("profiles:") for m in with_extra].index(True)
+        assert with_extra == [*plain[:k + 1], note, *plain[k + 1:]]
+        assert (tmp_path / "plain" / "scorecards.csv").read_bytes() == \
+            (tmp_path / "extra" / "scorecards.csv").read_bytes()
+
     def test_table_built_from_corpus_matches_prebuilt(self, dataset_dir, tmp_path):
         base = ["score", *dataset_flags(dataset_dir), "--period", "2008:2013"]
         assert main([*base, "--table", str(dataset_dir / "table.csv"),

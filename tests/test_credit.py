@@ -108,6 +108,20 @@ def test_a_index_and_the_records_share_one_credit_rule(n, i, s):
         assert len(credit._HARMONIC) == cached
 
 
+@given(paper_id=st.sampled_from(["", "p1"]), pi_id=st.sampled_from(["", "P1"]),
+       journal=st.sampled_from(["", "J"]),
+       triple=st.tuples(st.integers(-1, 4), st.integers(-1, 5), st.integers(-1, 5))
+       | st.just((MAX_AUTHOR_COUNT + 1, 1, 1)))
+@settings(max_examples=300)
+def test_one_row_columns_refused_with_the_record_text(paper_id, pi_id, journal, triple):
+    """The file readers' row loop gives check_publication_columns one row as
+    one-item columns, and reports its text as the row's own: empty text
+    fields in field order first, then the credit triple."""
+    values = (paper_id, pi_id, 2010, journal, *triple, True)
+    assert (_refusal(check_publication_columns, [[v] for v in values])
+            == _refusal(PublicationRecord, *values))
+
+
 def test_group_size_for_a_fifth_is_seventeen():
     assert group_size_for_credit(0.20) == 17
 

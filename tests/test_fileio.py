@@ -24,10 +24,9 @@ from leadindex.fileio import (
     _optional,
     _parse_bool,
     _parse_float,
+    _parse_columns,
     _parse_int,
-    _parse_rows,
     _RowError,
-    _tuple,
     _write_csv,
     read_grants,
     read_journals,
@@ -49,6 +48,7 @@ from leadindex.model import (
     JournalYearIF,
     PublicationRecord,
     Rank,
+    check_publication_columns,
 )
 from leadindex.toughness import DivisorMode, ToughnessTable, build_table
 
@@ -598,14 +598,14 @@ INT_CHARS = st.sampled_from("+-0123456789_ \t\n\r\u0663\u096d\uff15\U0001d7d3\u0
 
 
 def _parse_year_cell(cell, parse_int):
-    """``_parse_rows`` over one journals row whose year is ``cell``: rows or errors."""
+    """``_parse_columns`` over one journals row whose year is ``cell``: rows or errors."""
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\r\n").writerows(
         [["journal", "year", "impact_factor"], ["JA", cell, "1.5"]])
     columns = [("journal", None), ("year", parse_int), ("impact_factor", _parse_float)]
     try:
-        return _parse_rows("ifs.csv", io.StringIO(buffer.getvalue(), newline=""),
-                           columns, _tuple)
+        return list(zip(*_parse_columns(
+            "ifs.csv", io.StringIO(buffer.getvalue(), newline=""), columns)))
     except FileFormatError as exc:
         return exc.errors
 
@@ -636,24 +636,27 @@ class TestIntParserMatchesRegex:
                 == _parse_year_cell(cell, _parse_int_by_regex))
 
 
-def _parse_each_cell(rows, columns, make):
-    """``_parse_rows`` without memos, the reference: every cell parsed on its own."""
+def _parse_each_cell(rows, columns, check):
+    """``_parse_columns`` without memos, the reference: every cell parsed on
+    its own, and each row checked alone. Its rows, or its errors."""
     records, errors = [], []
     for line, row in enumerate(rows, start=2):
         try:
             values = [text if parse is None else parse(text, name)
                       for (name, parse), text in zip(columns, row)]
-            records.append(make(*values))
+            if check is not None:
+                check([[value] for value in values])
+            records.append(tuple(values))
         except ValueError as exc:
             errors.append(f"t.csv:{line}: {exc}")
     return errors or records
 
 
-def _odd_sum_refused(*values):
-    """A record check: refuses rows whose integers sum to an odd number."""
-    if sum(v for v in values if type(v) is int) % 2:
-        raise ValueError("integers sum to an odd number")
-    return values
+def _odd_sum_refused(columns):
+    """A check: refuses rows whose integers sum to an odd number."""
+    for values in zip(*columns):
+        if sum(v for v in values if type(v) is int) % 2:
+            raise ValueError("integers sum to an odd number")
 
 
 # Few distinct cells, so that most repeat down a column: good and bad integers
@@ -672,10 +675,10 @@ MEMO_COLUMNS = [
 class TestMemoisedRowsMatchPerCellParsing:
     @given(rows=st.lists(st.lists(MEMO_CELLS, min_size=len(MEMO_COLUMNS),
                                   max_size=len(MEMO_COLUMNS)), max_size=30),
-           make=st.sampled_from([_tuple, _odd_sum_refused]),
+           check=st.sampled_from([None, _odd_sum_refused]),
            limit=st.sampled_from([0, 2, 2**16]))
     @settings(max_examples=300)
-    def test_same_records_and_errors(self, rows, make, limit):
+    def test_same_records_and_errors(self, rows, check, limit):
         """Same values (types and signed zeros too) and the same errors, a bad
         cell giving one error on each line it appears on, at any memo bound."""
         buffer = io.StringIO()
@@ -683,36 +686,31 @@ class TestMemoisedRowsMatchPerCellParsing:
             [[name for name, _ in MEMO_COLUMNS], *rows])
         with mock.patch.object(fileio, "_MEMO_LIMIT", limit):
             try:
-                got = _parse_rows("t.csv", io.StringIO(buffer.getvalue(), newline=""),
-                                  MEMO_COLUMNS, make)
+                got = list(zip(*_parse_columns(
+                    "t.csv", io.StringIO(buffer.getvalue(), newline=""), MEMO_COLUMNS, check)))
             except FileFormatError as exc:
                 got = exc.errors
-        assert repr(got) == repr(_parse_each_cell(rows, MEMO_COLUMNS, make))
+        assert repr(got) == repr(_parse_each_cell(rows, MEMO_COLUMNS, check))
 
 
-def _read_rows(text, columns, make, header_line=1):
-    """``_parse_rows`` on ``text``: its records, or the errors it raised.
-
-    With a ``fileio._Result`` for ``make``, ``_parse_columns`` builds the
-    result columns, and the rows of those columns are returned as tuples.
-    """
+def _read_rows(text, columns, check, header_line=1):
+    """``_parse_columns`` on ``text``: the rows of its value columns as
+    tuples, or the errors it raised."""
     f = io.StringIO(text, newline="")
     try:
-        if isinstance(make, fileio._Result):
-            return list(zip(*fileio._parse_columns("t.csv", f, columns, make, header_line)))
-        return _parse_rows("t.csv", f, columns, make, header_line)
+        return list(zip(*_parse_columns("t.csv", f, columns, check, header_line)))
     except FileFormatError as exc:
         return exc.errors
 
 
 def _typed(result):
-    """The records with each value's type and repr (so -0.0 differs from 0.0), or the errors."""
+    """The rows with each value's type and repr (so -0.0 differs from 0.0), or the errors."""
     if result and isinstance(result[0], str):
         return result
-    return [(type(r), [(type(v), repr(v)) for v in r]) for r in result]
+    return [[(type(v), repr(v)) for v in r] for r in result]
 
 
-def _row_loop_only(lines, memos, make):
+def _row_loop_only(lines, memos, check):
     return None
 
 
@@ -728,21 +726,23 @@ PUBLICATION_CELLS = [
     (["1", "2", "3"], ["0", "100000", "100001", "-1"]),
     (["1", "2"], ["0", "4", "x"]), (["1", "2"], ["0", "3"]),
     (["true", "false"], ["True", ""])]
-# Per format: its columns, record maker and the cells of each column.
+# Per format: its columns, check and the cells of each column.
 CELL_FORMATS = {
-    "publications": (fileio._PUBLICATIONS, PublicationRecord, PUBLICATION_CELLS),
-    # The CLI's read: columns checked once per distinct key, no record per row.
-    "publication columns": (fileio._PUBLICATIONS, fileio._PUBLICATION_COLUMNS, PUBLICATION_CELLS),
-    "journals": (fileio._JOURNALS, JournalYearIF, [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS]),
-    "profiles": (fileio._PROFILES, InvestigatorProfile, [
+    "publications": (fileio._PUBLICATIONS, fileio._built(PublicationRecord), PUBLICATION_CELLS),
+    # The readers' check: columns checked once per distinct key, no record per row.
+    "publication columns": (fileio._PUBLICATIONS, check_publication_columns, PUBLICATION_CELLS),
+    "journals": (fileio._JOURNALS, fileio._built(JournalYearIF),
+                 [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS]),
+    "profiles": (fileio._PROFILES, fileio._built(InvestigatorProfile), [
         TEXT_CELLS, TEXT_CELLS, (["1", "2", "3"], ["0", "4"]),
         (["", "male", "female"], ["x", "professor"]), (["", "1970"], ["x"]),
         (["", "professor"], ["male"]), (["", "5.0"], ["-0.0", "-1.0", "x"]),
         (["", "USD"], [])]),
-    "grants": (fileio._GRANTS, GrantRecord, [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS, TEXT_CELLS]),
-    "corpus": (fileio._CORPUS, _tuple, [
+    "grants": (fileio._GRANTS, fileio._built(GrantRecord),
+               [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS, TEXT_CELLS]),
+    "corpus": (fileio._CORPUS, None, [
         TEXT_CELLS, YEAR_CELLS, (["0", "10"], ["-1", "x"]), FLOAT_CELLS]),
-    "text": ([("x", None), ("y", None)], _tuple, [TEXT_CELLS, TEXT_CELLS]),
+    "text": ([("x", None), ("y", None)], None, [TEXT_CELLS, TEXT_CELLS]),
     "memo": (MEMO_COLUMNS, _odd_sum_refused, [(
         ["", "0", "7", "-0", "1.5", "-0.0", "true", "x"],
         ["+-1", "1_0", " 1", "\u0663\uff15", "1e400", "nan"])] * len(MEMO_COLUMNS)),
@@ -789,19 +789,19 @@ class TestColumnarMatchesRowLoop:
         """Chunks read a column at a time, then the row loop from the first chunk
         that is not plain or not clean, give what the row loop gives alone: the
         same records, value types and signed zeros, or the same errors."""
-        columns, make, cells = CELL_FORMATS[name]
+        columns, check, cells = CELL_FORMATS[name]
         text = data.draw(csv_texts(columns, cells))
         with mock.patch.object(fileio, "_CHUNK", chunk), \
                 mock.patch.object(fileio, "_MEMO_LIMIT", limit):
-            got = _read_rows(text, columns, make, header_line)
+            got = _read_rows(text, columns, check, header_line)
         with mock.patch.object(fileio, "_columnar", _row_loop_only):
-            expected = _read_rows(text, columns, make, header_line)
+            expected = _read_rows(text, columns, check, header_line)
         assert _typed(got) == _typed(expected)
 
     @pytest.mark.parametrize("name", sorted(CELL_FORMATS))
     def test_each_odd_cell_in_a_later_chunk(self, name):
         """Plain rows, then one row with one odd cell, in the second chunk."""
-        columns, make, cells = CELL_FORMATS[name]
+        columns, check, cells = CELL_FORMATS[name]
         header = ",".join(name for name, _ in columns)
         plain_row = [plain[-1] for plain, _ in cells]
         for k, (_, odd) in enumerate(cells):
@@ -810,9 +810,9 @@ class TestColumnarMatchesRowLoop:
                 row[k] = _quote(cell) if set(cell) & set(',"\r\n') else cell
                 text = "\n".join([header, *[",".join(plain_row)] * 3, ",".join(row), ""])
                 with mock.patch.object(fileio, "_CHUNK", 2):
-                    got = _read_rows(text, columns, make)
+                    got = _read_rows(text, columns, check)
                 with mock.patch.object(fileio, "_columnar", _row_loop_only):
-                    expected = _read_rows(text, columns, make)
+                    expected = _read_rows(text, columns, check)
                 assert _typed(got) == _typed(expected), (k, cell)
 
     def test_bad_cell_in_a_later_chunk_keeps_its_line(self):
@@ -822,15 +822,15 @@ class TestColumnarMatchesRowLoop:
         text = ",".join(fileio.PUBLICATIONS_HEADER) + "\n" + "\n".join(rows) + "\n"
         columnar, read_columns = [], fileio._columnar
 
-        def spy(lines, memos, make):
-            columnar.append(read_columns(lines, memos, make))
+        def spy(lines, memos, check):
+            columnar.append(read_columns(lines, memos, check))
             return columnar[-1]
 
         with mock.patch.object(fileio, "_CHUNK", 3), mock.patch.object(fileio, "_columnar", spy):
-            errors = _read_rows(text, fileio._PUBLICATIONS, PublicationRecord)
+            errors = _read_rows(text, fileio._PUBLICATIONS, check_publication_columns)
         assert errors == ["t.csv:9: year: not an integer: '20x0'",
                           "t.csv:10: credit_position 4 out of range 1..3"]
-        # Rows per columnar chunk: the length of its one result column.
+        # Rows per columnar chunk: the length of its first value column.
         assert [len(chunk[0]) for chunk in columnar[:-1]] == [3, 3]
         assert columnar[-1] is None
 
@@ -838,9 +838,11 @@ class TestColumnarMatchesRowLoop:
         rows = [f"p{i},P{i % 2},2010,J1,3,1,1,true" for i in range(9)]
         text = ",".join(fileio.PUBLICATIONS_HEADER) + "\n" + "\n".join(rows) + "\n"
         with mock.patch.object(fileio, "_CHUNK", 4):
-            records = _read_rows(text, fileio._PUBLICATIONS, PublicationRecord)
-        assert len({id(r.pi_id) for r in records}) == 2
-        assert len({id(r.journal) for r in records}) == 1
+            _, pi_ids, _, journals, *_ = _parse_columns(
+                "t.csv", io.StringIO(text, newline=""), fileio._PUBLICATIONS,
+                check_publication_columns)
+        assert len(set(map(id, pi_ids))) == 2
+        assert len(set(map(id, journals))) == 1
 
     def test_text_mostly_distinct_in_each_chunk_still_shares_one_string(self):
         """15 journals in each 16-line chunk: all but one cell is new to the
@@ -849,8 +851,10 @@ class TestColumnarMatchesRowLoop:
         rows = [f"p{i},P1,2010,{journals[i % 16]},3,1,1,true" for i in range(48)]
         text = ",".join(fileio.PUBLICATIONS_HEADER) + "\n" + "\n".join(rows) + "\n"
         with mock.patch.object(fileio, "_CHUNK", 16):
-            records = _read_rows(text, fileio._PUBLICATIONS, PublicationRecord)
-        assert len({id(r.journal) for r in records}) == 15
+            journals = _parse_columns(
+                "t.csv", io.StringIO(text, newline=""), fileio._PUBLICATIONS,
+                check_publication_columns)[3]
+        assert len(set(map(id, journals))) == 15
 
 
 class TestOversizedCell:

@@ -365,6 +365,14 @@ class TestGrants:
             aggregate_grants(grants)
         assert err.value.errors == ["pi_id P1: grant total overflows the float range"]
 
+    def test_plain_rows_total_as_records_do(self):
+        rows = [("P1", 2010, 1.5, "CNY"), ("P2", 2010, 2.0, "USD"), ("P1", 2011, 0.5, "CNY")]
+        assert aggregate_grants(rows) == aggregate_grants(GrantRecord(*r) for r in rows)
+        assert aggregate_grants(rows) == {"P1": (2.0, "CNY"), "P2": (2.0, "USD")}
+        with pytest.raises(DataValidationError) as err:
+            aggregate_grants([*rows, ("P2", 2011, 1.0, "EUR")])
+        assert err.value.errors == ["pi_id P2: grants in multiple currencies (USD, EUR)"]
+
     def test_total_does_not_depend_on_row_order(self):
         # Added one at a time from 1e16, each 1.0 is half an ulp and rounds
         # away; the exact sum is 1e16 + 2, which is a float.
