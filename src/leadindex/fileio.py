@@ -145,29 +145,31 @@ CORPUS_HEADER = [name for name, _ in _CORPUS]
 _TABLE_HEADER = [name for name, _ in _TABLE]
 
 
-def _built(record) -> Callable:
-    """A check that builds ``record`` of each row and drops it: the constructor
-    stays the one copy of the record's rules."""
+def _records(record) -> Callable:
+    """A check that builds ``record`` of each row through its constructor, the
+    one copy of the record's rules, and keeps the records as one column."""
+    return lambda columns: [list(map(record, *columns))]
 
-    def check(columns) -> None:
-        for _ in map(record, *columns):
-            pass
 
-    return check
+def _publication_records(columns) -> list[list]:
+    """check_publication_columns runs PublicationRecord's checks, so the records
+    of its columns, kept as one column, are built with _make."""
+    return [list(map(PublicationRecord._make, zip(*check_publication_columns(columns))))]
 
 
 def _parse_columns(path: Pathish, f, columns, check: Callable | None = None,
                    header_line: int = 1) -> list[list]:
     """Check the header line of ``f``, then read its data rows as value columns.
 
-    The result holds one list per (column, parser) of ``columns``. Every bad
-    row is reported as ``path:line: ...``, at the line the row starts on,
-    and all of them are raised together. A row is named by its leftmost cell
-    that fails to parse; only a row whose cells all parse is then given to
-    ``check``, which raises ValueError for a row it refuses. ``check`` takes
-    value columns: a chunk's, or one row's as one-item columns, and for one
-    row its text is that row's own. ``header_line`` is the file line ``f``
-    starts at.
+    Without ``check`` the result holds one list per (column, parser) of
+    ``columns``. Every bad row is reported as ``path:line: ...``, at the
+    line the row starts on, and all of them are raised together. A row is
+    named by its leftmost cell that fails to parse; only a row whose cells
+    all parse is then given to ``check``. ``check`` takes value columns, a
+    chunk's or one row's as one-item columns, and returns the columns to
+    keep; a ValueError it raises refuses the row, with that row's own text
+    for one row. The result is then its output for no rows, extended by its
+    output for each chunk and row. ``header_line`` is where ``f`` starts.
 
     Rows are read ``_CHUNK`` lines at a time and parsed a column at a time
     while each chunk is plain CSV and error-free. From the first chunk that
@@ -191,6 +193,8 @@ def _parse_columns(path: Pathish, f, columns, check: Callable | None = None,
     # before it is stored, so it is reported on every line it appears on.
     memos = [(i, name, parse, {}) for i, (name, parse) in enumerate(columns)]
     out = [[] for _ in range(width)]
+    if check is not None:
+        out = check(out)
     start = reader.line_num + header_line  # file line the next row starts on
     lines = []
     # A blank line is a row of no cells to csv.reader, which only its comma
@@ -223,10 +227,12 @@ def _parse_columns(path: Pathish, f, columns, check: Callable | None = None,
                         if len(memo) < _MEMO_LIMIT:
                             memo[text] = value
                     row[i] = value
-                if check is not None:
-                    check([[value] for value in row])
-                for column, value in zip(out, row):
-                    column.append(value)
+                if check is None:
+                    for column, value in zip(out, row):
+                        column.append(value)
+                else:
+                    for column, part in zip(out, check([[value] for value in row])):
+                        column += part
             except ValueError as exc:  # _RowError or a check's refusal
                 errors.append(f"{path}:{line}: {exc}")
     except csv.Error as exc:  # such as a cell over csv.field_size_limit()
@@ -238,7 +244,8 @@ def _parse_columns(path: Pathish, f, columns, check: Callable | None = None,
 
 
 def _columnar(lines: list, memos, check: Callable | None) -> list[list] | None:
-    """The value columns of ``lines``, one row per line, parsed a column at a time.
+    """The value columns of ``lines``, one row per line, parsed a column at a
+    time, or what ``check`` keeps of them.
 
     None when csv.reader might read the lines otherwise (a quote, a lone
     carriage return, a line of the wrong field count, a cell that may pass
@@ -283,9 +290,7 @@ def _columnar(lines: list, memos, check: Callable | None) -> list[list] | None:
                                  for cell in new})
                     col = list(map(memo.__getitem__, col))
             cols.append(col)
-        if check is not None:
-            check(cols)
-        return cols
+        return cols if check is None else check(cols)
     except ValueError:  # _RowError or a check's refusal
         return None
 
@@ -296,13 +301,12 @@ def _read_columns(path: Pathish, columns, check: Callable | None = None) -> list
 
 
 def read_publications(path: Pathish) -> list[PublicationRecord]:
-    """The records of read_publication_columns' rows, in file order.
+    """The publications as PublicationRecords, in file order.
 
-    The columns are checked as they are read, so the records are built with
-    _make, skipping the constructor's checks. Columns and records are both
-    live while the records are built.
+    Each chunk is checked as read_publication_columns checks it, then its
+    records are built with _make; no column outlives its chunk.
     """
-    return list(map(PublicationRecord._make, zip(*read_publication_columns(path))))
+    return _read_columns(path, _PUBLICATIONS, _publication_records)[0]
 
 
 def read_publication_columns(path: Pathish) -> list[list]:
@@ -315,22 +319,16 @@ def read_publication_columns(path: Pathish) -> list[list]:
     return _read_columns(path, _PUBLICATIONS, check_publication_columns)
 
 
-def _read_records(path: Pathish, columns, record) -> list:
-    """``record`` of each row, in file order: each row is checked by building
-    its record once, and the kept records are built with _make."""
-    return list(map(record._make, zip(*_read_columns(path, columns, _built(record)))))
-
-
 def read_journals(path: Pathish) -> list[JournalYearIF]:
-    return _read_records(path, _JOURNALS, JournalYearIF)
+    return _read_columns(path, _JOURNALS, _records(JournalYearIF))[0]
 
 
 def read_profiles(path: Pathish) -> list[InvestigatorProfile]:
-    return _read_records(path, _PROFILES, InvestigatorProfile)
+    return _read_columns(path, _PROFILES, _records(InvestigatorProfile))[0]
 
 
 def read_grants(path: Pathish) -> list[GrantRecord]:
-    return _read_records(path, _GRANTS, GrantRecord)
+    return _read_columns(path, _GRANTS, _records(GrantRecord))[0]
 
 
 def read_toughness_corpus(path: Pathish) -> list[tuple[str, int, int, float]]:

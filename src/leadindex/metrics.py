@@ -173,8 +173,10 @@ def _metrics(
     """(O', O, T, E, L) of non-empty valued papers, in ScoreCard's field order.
 
     L = O/sqrt(T). Raises an error naming the investigator and period when
-    every paper is worth 0 (T undefined) or a metric leaves the float range.
-    E and L are finite once O and T are, since T >= 1.
+    every paper is worth 0 (T undefined) or a metric leaves the float range:
+    beyond it, or below sys.float_info.min, where the values are rounded to a
+    grid too coarse for T's quotients. E and L are finite once O and T are,
+    since T >= 1.
     """
     start, end = period
     try:
@@ -189,7 +191,11 @@ def _metrics(
     except ValueError:  # a sum beyond the float range, named for one list of papers
         raise ValueError(
             f"investigator {pi_id}: non-finite metric in {start}-{end}") from None
-    return o_prime, o, t, efficiency(o, t), o / math.sqrt(t)
+    e, lead = efficiency(o, t), o / math.sqrt(t)
+    if min(o_prime, e) < sys.float_info.min:  # T >= 1, so E <= L <= O
+        raise ValueError(
+            f"investigator {pi_id}: metric below the normal float range in {start}-{end}")
+    return o_prime, o, t, e, lead
 
 
 def _card(

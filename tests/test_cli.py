@@ -441,6 +441,40 @@ class TestScore:
         assert card["t_equiv"] == "1"
         assert card["leadership"] == card["o_weighted"] != ""
 
+    @pytest.mark.parametrize("command, window", [("score", "--period"),
+                                                 ("report-trend", "--span")])
+    def test_subnormal_impact_factor_is_1_not_a_wrong_t(self, tmp_path, capsys,
+                                                        command, window):
+        """Two 3-author papers give T = 18/11 at any IF; at IF 5e-324 the
+        quotients round to the subnormal grid and T would read 2.0."""
+        files = {
+            "journals": ["journal,year,impact_factor", "J,2000,{if_}"],
+            "profiles": [",".join(fileio.PROFILES_HEADER), "P,US,1,,,,,"],
+            "publications": [",".join(fileio.PUBLICATIONS_HEADER),
+                             "A,P,2000,J,3,1,1,true", "B,P,2000,J,3,1,1,true"],
+            "corpus": ["journal,year,total_citations,impact_factor", "C1,2000,10,1.0",
+                       "C2,2000,100,2.0", "C3,2000,1000,3.0"],
+        }
+        codes = {}
+        for if_ in ("1e-10", "5e-324"):
+            root = tmp_path / if_
+            root.mkdir()
+            for name, lines in files.items():
+                (root / f"{name}.csv").write_text("\n".join(lines).format(if_=if_) + "\n")
+            out = root / "out"
+            codes[if_] = main([command, *dataset_flags(root), "--corpus",
+                               str(root / "corpus.csv"), "--levels", "2", window,
+                               "2000:2000", "--format", "json", "--out-dir", str(out)])
+            if if_ == "1e-10":
+                data = json.loads(next(out.glob("*.json")).read_text())
+                [t] = [row["t_equiv"] for row in data]
+                assert t == round(18 / 11, 5)  # reports keep six significant digits
+        assert codes == {"1e-10": 0, "5e-324": 1}
+        err = capsys.readouterr().err
+        assert "error: investigator P: metric below the normal float range in 2000-2000" in err
+        out = tmp_path / "5e-324" / "out"
+        assert not out.exists() or not any(out.iterdir())
+
     def test_all_zero_impact_is_1_naming_the_investigator(self, dataset_dir, tmp_path, capsys):
         root = write_inputs(tmp_path / "data", dataset_dir, [
             PublicationRecord("p1", "P0002", 2010, "JZERO", 3, 1),

@@ -638,25 +638,27 @@ class TestIntParserMatchesRegex:
 
 def _parse_each_cell(rows, columns, check):
     """``_parse_columns`` without memos, the reference: every cell parsed on
-    its own, and each row checked alone. Its rows, or its errors."""
+    its own, and each row checked alone, keeping what the check returns. Its
+    rows, or its errors."""
     records, errors = [], []
     for line, row in enumerate(rows, start=2):
         try:
-            values = [text if parse is None else parse(text, name)
-                      for (name, parse), text in zip(columns, row)]
+            kept = [[text if parse is None else parse(text, name)]
+                    for (name, parse), text in zip(columns, row)]
             if check is not None:
-                check([[value] for value in values])
-            records.append(tuple(values))
+                kept = check(kept)
+            records.extend(zip(*kept))
         except ValueError as exc:
             errors.append(f"t.csv:{line}: {exc}")
     return errors or records
 
 
 def _odd_sum_refused(columns):
-    """A check: refuses rows whose integers sum to an odd number."""
+    """A check: refuses rows whose integers sum to an odd number, keeps the rest."""
     for values in zip(*columns):
         if sum(v for v in values if type(v) is int) % 2:
             raise ValueError("integers sum to an odd number")
+    return columns
 
 
 # Few distinct cells, so that most repeat down a column: good and bad integers
@@ -695,10 +697,11 @@ class TestMemoisedRowsMatchPerCellParsing:
 
 def _read_rows(text, columns, check, header_line=1):
     """``_parse_columns`` on ``text``: the rows of its value columns as
-    tuples, or the errors it raised."""
+    tuples, each record of a column of records as a row, or the errors it raised."""
     f = io.StringIO(text, newline="")
     try:
-        return list(zip(*_parse_columns("t.csv", f, columns, check, header_line)))
+        kept = _parse_columns("t.csv", f, columns, check, header_line)
+        return kept[0] if len(kept) == 1 else list(zip(*kept))
     except FileFormatError as exc:
         return exc.errors
 
@@ -728,17 +731,20 @@ PUBLICATION_CELLS = [
     (["true", "false"], ["True", ""])]
 # Per format: its columns, check and the cells of each column.
 CELL_FORMATS = {
-    "publications": (fileio._PUBLICATIONS, fileio._built(PublicationRecord), PUBLICATION_CELLS),
+    "publications": (fileio._PUBLICATIONS, fileio._records(PublicationRecord), PUBLICATION_CELLS),
     # The readers' check: columns checked once per distinct key, no record per row.
     "publication columns": (fileio._PUBLICATIONS, check_publication_columns, PUBLICATION_CELLS),
-    "journals": (fileio._JOURNALS, fileio._built(JournalYearIF),
+    # read_publications' check: the checked columns' records, built with _make.
+    "publication records": (fileio._PUBLICATIONS, fileio._publication_records,
+                            PUBLICATION_CELLS),
+    "journals": (fileio._JOURNALS, fileio._records(JournalYearIF),
                  [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS]),
-    "profiles": (fileio._PROFILES, fileio._built(InvestigatorProfile), [
+    "profiles": (fileio._PROFILES, fileio._records(InvestigatorProfile), [
         TEXT_CELLS, TEXT_CELLS, (["1", "2", "3"], ["0", "4"]),
         (["", "male", "female"], ["x", "professor"]), (["", "1970"], ["x"]),
         (["", "professor"], ["male"]), (["", "5.0"], ["-0.0", "-1.0", "x"]),
         (["", "USD"], [])]),
-    "grants": (fileio._GRANTS, fileio._built(GrantRecord),
+    "grants": (fileio._GRANTS, fileio._records(GrantRecord),
                [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS, TEXT_CELLS]),
     "corpus": (fileio._CORPUS, None, [
         TEXT_CELLS, YEAR_CELLS, (["0", "10"], ["-1", "x"]), FLOAT_CELLS]),

@@ -14,6 +14,7 @@ import tracemalloc
 from leadindex import cli, fileio, synth
 from leadindex.analysis import trend
 from leadindex.model import (
+    GrantRecord,
     InvestigatorProfile,
     JournalYearIF,
     PublicationRecord,
@@ -65,9 +66,34 @@ def test_read_publication_columns_peak_per_row(tmp_path):
     assert peak / n <= 150
 
 
+def test_read_publications_peak_per_row(tmp_path):
+    # Each chunk's records are built from its checked columns, and no column
+    # outlives its chunk: the whole file is held once, as records.
+    n = 100_000
+    path = _publications_file(tmp_path / "publications.csv", n)
+
+    peak, records = traced_peak(fileio.read_publications, path)
+
+    assert len(records) == n
+    assert peak / n <= 215
+
+
+def test_read_grants_peak_per_row(tmp_path):
+    # Each row's record is built once, by the check, and kept.
+    n = 100_000
+    path = tmp_path / "grants.csv"
+    fileio.write_grants(path, (GrantRecord(f"P{i % 1000:04d}", 2000 + i % 10,
+                                           1000.0 + i * 0.25, "CNY") for i in range(n)))
+
+    peak, records = traced_peak(fileio.read_grants, path)
+
+    assert len(records) == n
+    assert peak / n <= 135
+
+
 def test_read_publications_then_validate_peak_per_row(tmp_path):
-    # The library's record path: read_publications builds its records from
-    # the column read, and validate_dataset splits them into columns again.
+    # The library's record path: read_publications builds its records chunk
+    # by chunk, and validate_dataset splits them into columns again.
     n = 100_000
     journals, profiles = _inputs()
     path = _publications_file(tmp_path / "publications.csv", n)

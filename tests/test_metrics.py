@@ -241,6 +241,15 @@ class TestSumsBeyondTheFloatRange:
         with pytest.raises(ValueError, match=r"^investigator P1: non-finite metric in 2010-2011$"):
             _metrics("P1", (2010, 2011), [(2010, 1e308, 1e308, 0.5)] * count)
 
+    @pytest.mark.parametrize("papers", [
+        [(2010, 5e-324, 5e-324, 0.75)] * 2,  # O subnormal: T would read 2, not 4/3
+        [(2010, 3e-308, 3e-308, 0.01)],  # O normal, E = O/100 and L = O/10 not
+    ])
+    def test_kernel_refuses_a_metric_below_the_normal_range(self, papers):
+        with pytest.raises(ValueError, match=r"^investigator P1: metric below the normal "
+                                             r"float range in 2010-2011$"):
+            _metrics("P1", (2010, 2011), papers)
+
 
 def card_of(dataset, pi_id, period, table, scenario=CreditScenario.RANKED):
     """The card that score_all returns for one investigator."""
