@@ -32,7 +32,7 @@ from .model import (
     apply_funding,
     validate_columns,
 )
-from .toughness import DivisorMode, ToughnessTable, build_table, estimate_paper_counts
+from .toughness import DivisorMode, ToughnessTable, build_table, paper_counts
 
 log = logging.getLogger("leadindex")
 
@@ -94,11 +94,13 @@ def _load_dataset(args: argparse.Namespace) -> ValidatedDataset:
     """Read grants, journals, profiles, then publications, and validate them.
 
     The grants are reduced to one total per investigator before the
-    publications, the largest input, are read. The publications stay the
-    columns fileio reads; no record is built for them.
+    publications, the largest input, are read. Grants, journals and
+    publications are read as checked columns, and no record is built for
+    their rows: grants and journals go on as plain rows of their columns.
     """
-    totals = {} if args.grants is None else aggregate_grants(fileio.read_grants(args.grants))
-    journals = fileio.read_journals(args.journals)
+    totals = {} if args.grants is None else aggregate_grants(
+        zip(*fileio.read_grant_columns(args.grants)))
+    journals = zip(*fileio.read_journal_columns(args.journals))
     profiles = apply_funding(fileio.read_profiles(args.profiles), totals)
     dataset = validate_columns(fileio.read_publication_columns(args.publications),
                                journals, profiles, args.if_fallback)
@@ -131,15 +133,15 @@ def _load(args: argparse.Namespace) -> tuple[ValidatedDataset, ToughnessTable]:
 
 
 def _build_table(args: argparse.Namespace) -> ToughnessTable:
-    rows = fileio.read_toughness_corpus(args.corpus)
-    estimates, warnings = estimate_paper_counts(
-        (f"{journal} ({year})", citations, impact)
-        for journal, year, citations, impact in rows
-    )
+    """The table of the --corpus columns; a row is named "journal (year)" in
+    a warning or error."""
+    journals, years, citations, impact_factors = fileio.read_corpus_columns(args.corpus)
+    counts, warnings = paper_counts(citations, impact_factors,
+                                    lambda k: f"{journals[k]} ({years[k]})")
     for warning in warnings:
         log.warning("%s", warning)
     table = build_table(
-        ((count, impact) for _, count, impact in estimates),
+        zip(counts, impact_factors),
         level_count=args.levels,
         divisor_mode=args.divisor_mode,
     )

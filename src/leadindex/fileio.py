@@ -25,6 +25,8 @@ from .model import (
     JournalYearIF,
     PublicationRecord,
     Rank,
+    check_grant_columns,
+    check_journal_columns,
     check_publication_columns,
 )
 from .toughness import DivisorMode, ToughnessTable, top_level_size
@@ -73,6 +75,37 @@ def _parse_float(text: str, field: str) -> float:
     return value
 
 
+def _plain(cells: list) -> None:
+    """Raise ValueError if a cell holds "_" or whitespace, which int() and
+    float() take (between digits; around the number) but the CSV rules refuse."""
+    joined = "".join(cells)
+    if "_" in joined or joined.split() != [joined]:
+        raise ValueError("a cell holds '_' or whitespace")
+
+
+def _int_column(cells: list) -> list[int]:
+    """_parse_int over a column at once. Raises ValueError, naming no cell,
+    where _parse_int would refuse a cell: the row loop then reports it."""
+    values = list(map(int, cells))
+    _plain(cells)
+    return values
+
+
+def _float_column(cells: list) -> list[float]:
+    """_parse_float over a column at once, as _int_column is _parse_int's."""
+    values = list(map(float, cells))
+    _plain(cells)
+    if not all(map(math.isfinite, values)):
+        raise ValueError("a cell is not a finite number")
+    return values
+
+
+# A number parser's column form, which _columnar calls in place of the parser
+# on each cell: the same cells are accepted, with the same values.
+_parse_int.column = _int_column
+_parse_float.column = _float_column
+
+
 def _parse_bool(text: str, field: str) -> bool:
     if text == "true":
         return True
@@ -111,6 +144,14 @@ def _non_negative(parse):
             raise _RowError(f"{field}: must be >= 0, got {value}")
         return value
 
+    if hasattr(parse, "column"):
+        def non_negative_column(cells: list) -> list:
+            values = parse.column(cells)
+            if min(values, default=0) < 0:
+                raise ValueError("a value is negative")
+            return values
+
+        parse_non_negative.column = non_negative_column
     return parse_non_negative
 
 
@@ -281,18 +322,24 @@ def _columnar(lines: list, memos, check: Callable | None) -> list[list] | None:
                     # typed cell in eight (grant amounts): a memo would be hit by
                     # few rows. Text that repeats is stored, so it shares one string.
                     if parse is not None:
-                        col = list(map(parse, col, repeat(name)))
+                        col = _parsed(parse, name, col)
                 else:
-                    new = distinct.difference(memo)
+                    new = list(distinct.difference(memo))
                     if len(memo) + len(new) > _MEMO_LIMIT:  # a lookup for this chunk alone
-                        memo = {cell: memo[cell] for cell in distinct - new}
-                    memo.update({cell: cell if parse is None else parse(cell, name)
-                                 for cell in new})
+                        memo = {cell: memo[cell] for cell in distinct.difference(new)}
+                    memo.update(zip(new, new if parse is None else _parsed(parse, name, new)))
                     col = list(map(memo.__getitem__, col))
             cols.append(col)
         return cols if check is None else check(cols)
     except ValueError:  # _RowError or a check's refusal
         return None
+
+
+def _parsed(parse, name: str, cells: list) -> list:
+    """``parse`` over ``cells``, through its column form where it has one."""
+    if hasattr(parse, "column"):
+        return parse.column(cells)
+    return list(map(parse, cells, repeat(name)))
 
 
 def _read_columns(path: Pathish, columns, check: Callable | None = None) -> list[list]:
@@ -323,6 +370,12 @@ def read_journals(path: Pathish) -> list[JournalYearIF]:
     return _read_columns(path, _JOURNALS, _records(JournalYearIF))[0]
 
 
+def read_journal_columns(path: Pathish) -> list[list]:
+    """The journals as one list per JournalYearIF field, each row checked as
+    JournalYearIF checks it, with no record built."""
+    return _read_columns(path, _JOURNALS, check_journal_columns)
+
+
 def read_profiles(path: Pathish) -> list[InvestigatorProfile]:
     return _read_columns(path, _PROFILES, _records(InvestigatorProfile))[0]
 
@@ -331,9 +384,21 @@ def read_grants(path: Pathish) -> list[GrantRecord]:
     return _read_columns(path, _GRANTS, _records(GrantRecord))[0]
 
 
+def read_grant_columns(path: Pathish) -> list[list]:
+    """The grants as one list per GrantRecord field, each row checked as
+    GrantRecord checks it, with no record built."""
+    return _read_columns(path, _GRANTS, check_grant_columns)
+
+
 def read_toughness_corpus(path: Pathish) -> list[tuple[str, int, int, float]]:
     """Rows of (journal, year, total_citations, impact_factor)."""
-    return list(zip(*_read_columns(path, _CORPUS)))
+    return list(zip(*read_corpus_columns(path)))
+
+
+def read_corpus_columns(path: Pathish) -> list[list]:
+    """The toughness corpus as its journal, year, total_citations and
+    impact_factor columns."""
+    return _read_columns(path, _CORPUS)
 
 
 def _write_csv(
@@ -469,6 +534,9 @@ def read_toughness_table(path: Pathish) -> ToughnessTable:
     # The row count first: the marker's levels= is not bounded by the file.
     if levels < 1 or len(weights) != levels or weights != list(range(levels, 0, -1)):
         raise FileFormatError([f"{path}: weights must run {levels}..1, got {weights}"])
+    # The bottom level matches any remaining IF, so its floor is written as 0.
+    if floors[-1] != 0:
+        raise FileFormatError([f"{path}: bottom min_if must be 0, got {floors[-1]}"])
     try:
         # The declared total first, so too few papers reads as bad metadata.
         top_level_size(total_papers, levels, mode)

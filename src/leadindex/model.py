@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
 from itertools import compress, islice, repeat
-from operator import attrgetter, eq, getitem, itemgetter
+from operator import eq, getitem, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .credit import check_credit
@@ -89,6 +89,20 @@ def check_text(name: str, value: str) -> None:
         raise ValueError(f"{name} must be non-empty")
 
 
+def check_amount(name: str, value: float) -> None:
+    """A record's amount must be finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def _check_amounts(name: str, column: list) -> None:
+    """check_amount over a column: each value is screened at once, and the
+    first one refused raises through check_amount."""
+    if not (all(map(math.isfinite, column)) and min(column, default=0.0) >= 0):
+        for value in column:
+            check_amount(name, value)
+
+
 def check_publication_columns(columns: Sequence[list]) -> Sequence[list]:
     """Run PublicationRecord's checks over its eight columns, in field order; return them.
 
@@ -120,9 +134,21 @@ class JournalYearIF(_JournalYearIFFields):
         if not journal:
             check_text("journal", journal)
         if not (math.isfinite(impact_factor) and impact_factor >= 0):
-            raise ValueError(
-                f"impact_factor must be finite and >= 0, got {impact_factor}")
+            check_amount("impact_factor", impact_factor)
         return tuple.__new__(cls, (journal, year, impact_factor))
+
+
+def check_journal_columns(columns: Sequence[list]) -> Sequence[list]:
+    """Run JournalYearIF's checks over its three columns, in field order; return them.
+
+    Each column is screened at once. Raises ValueError if any row would be
+    refused; for one row, with the message its constructor gives.
+    """
+    journals, _, impact_factors = columns
+    if not all(journals):
+        check_text("journal", "")
+    _check_amounts("impact_factor", impact_factors)
+    return columns
 
 
 class _InvestigatorProfileFields(NamedTuple):
@@ -180,10 +206,24 @@ class GrantRecord(_GrantFields):
         if not pi_id:
             check_text("pi_id", pi_id)
         if not (math.isfinite(amount) and amount >= 0):
-            raise ValueError(f"amount must be finite and >= 0, got {amount}")
+            check_amount("amount", amount)
         if not currency:
             check_text("currency", currency)
         return tuple.__new__(cls, (pi_id, year, amount, currency))
+
+
+def check_grant_columns(columns: Sequence[list]) -> Sequence[list]:
+    """Run GrantRecord's checks over its four columns, in field order; return them.
+
+    Raises ValueError as check_journal_columns does.
+    """
+    pi_ids, _, amounts, currencies = columns
+    if not all(pi_ids):
+        check_text("pi_id", "")
+    _check_amounts("amount", amounts)
+    if not all(currencies):
+        check_text("currency", "")
+    return columns
 
 
 @dataclass(frozen=True)
@@ -319,14 +359,15 @@ def _columns(publications: Iterable[PublicationRecord]) -> list[list]:
 
 def validate_columns(
     columns: Sequence[list],
-    journals: Iterable[JournalYearIF],
+    journals: Iterable[Sequence],
     profiles: Iterable[InvestigatorProfile],
     fallback: IFFallback = IFFallback.OFF,
 ) -> ValidatedDataset:
     """validate_dataset over publications given as columns, which the dataset keeps.
 
     ``columns`` holds one list per PublicationRecord field, in field order,
-    whose rows each pass PublicationRecord's checks.
+    whose rows each pass PublicationRecord's checks. ``journals`` holds
+    JournalYearIFs or plain (journal, year, impact_factor) rows.
     """
     errors: list[str] = []
     warnings: list[str] = []
@@ -334,13 +375,13 @@ def validate_columns(
     any_prior_year = fallback is IFFallback.NEAREST_PRIOR_YEAR
     # Per journal, its entry years ascending and their impact factors.
     index: dict[str, tuple[list[int], list[float]]] = {}
-    for j in sorted(journals, key=attrgetter("journal", "year")):
-        years, ifs = index.setdefault(j.journal, ([], []))
-        if years and years[-1] == j.year:
-            errors.append(f"duplicate impact factor entry for {j.journal} {j.year}")
+    for journal, year, impact_factor in sorted(journals, key=itemgetter(0, 1)):
+        years, ifs = index.setdefault(journal, ([], []))
+        if years and years[-1] == year:
+            errors.append(f"duplicate impact factor entry for {journal} {year}")
         else:
-            years.append(j.year)
-            ifs.append(j.impact_factor)
+            years.append(year)
+            ifs.append(impact_factor)
     impact = {journal: _JournalYears(years, ifs, any_prior_year)
               for journal, (years, ifs) in index.items()}
 

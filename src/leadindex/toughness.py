@@ -14,8 +14,8 @@ import enum
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import neg
-from typing import Iterable
+from operator import neg, truediv
+from typing import Callable, Iterable, Sequence
 
 
 class DivisorMode(enum.Enum):
@@ -90,26 +90,45 @@ def estimate_paper_counts(
     count is citations / IF rounded half to even. Journals with a zero
     impact factor cannot be estimated: they pass through with count 0 and a
     warning. A quotient outside the float range raises. Returns (rows,
-    warnings).
+    warnings). The counts are paper_counts', each row named by its journal.
     """
-    rows: list[tuple[str, int, float]] = []
+    journals, citations, impact_factors = list(zip(*journal_citations)) or ((), (), ())
+    counts, warnings = paper_counts(citations, impact_factors, journals.__getitem__)
+    return list(zip(journals, counts, impact_factors)), warnings
+
+
+def paper_counts(
+    citations: Sequence[int], impact_factors: Sequence[float], label: Callable[[int], str],
+) -> tuple[list[int], list[str]]:
+    """estimate_paper_counts over columns: one count per row, and the warnings.
+
+    ``label(k)`` names row k in a warning or an error, and is called only
+    for such a row. The counts are computed a column at a time; a column
+    holding a negative or zero value, or a quotient outside the float range,
+    is gone through row by row, to warn or raise at the row concerned.
+    """
+    if min(citations, default=0) >= 0 and min(impact_factors, default=1.0) > 0:
+        try:
+            return list(map(round, map(truediv, citations, impact_factors))), []
+        except OverflowError:
+            pass
+    counts: list[int] = []
     warnings: list[str] = []
-    for journal, citations, impact_factor in journal_citations:
-        if citations < 0:
-            raise ValueError(f"{journal}: total_citations must be >= 0")
+    for k, (cited, impact_factor) in enumerate(zip(citations, impact_factors)):
+        if cited < 0:
+            raise ValueError(f"{label(k)}: total_citations must be >= 0")
         if impact_factor < 0:
-            raise ValueError(f"{journal}: impact_factor must be >= 0")
+            raise ValueError(f"{label(k)}: impact_factor must be >= 0")
         if impact_factor == 0:
-            warnings.append(f"{journal}: zero impact factor, cannot estimate paper count")
-            rows.append((journal, 0, impact_factor))
+            warnings.append(f"{label(k)}: zero impact factor, cannot estimate paper count")
+            counts.append(0)
         else:
             try:
-                count = round(citations / impact_factor)
+                counts.append(round(cited / impact_factor))
             except OverflowError:
-                raise ValueError(f"{journal}: paper count (total_citations / "
+                raise ValueError(f"{label(k)}: paper count (total_citations / "
                                  f"{impact_factor!r}) is out of the float range") from None
-            rows.append((journal, count, impact_factor))
-    return rows, warnings
+    return counts, warnings
 
 
 def top_level_size(total: int, level_count: int, divisor_mode: DivisorMode) -> int:

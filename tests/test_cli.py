@@ -154,6 +154,39 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "table.csv").exists()
 
+    def test_table_with_a_nonzero_bottom_floor_is_1(self, dataset_dir, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        text = (dataset_dir / "table.csv").read_text()
+        assert text.endswith("\n1,0.0\n")
+        table.write_text(text.removesuffix("0.0\n") + "3.0\n")
+        out = tmp_path / "out"
+        code = main(["score", *dataset_flags(dataset_dir), "--table", str(table),
+                     "--period", "2008:2013", "--out-dir", str(out)])
+        assert code == 1
+        assert f"{table}: bottom min_if must be 0, got 3.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_impact_factor_row_is_named_and_counts_no_paper(self, dataset_dir, tmp_path):
+        """One corpus row of IF 0 warns once, naming the row as journal (year),
+        and builds the table the corpus without it builds. stderr is read from
+        a fresh process, as a user sees it."""
+        lines = (dataset_dir / "toughness_corpus.csv").read_text().splitlines(keepends=True)
+        with_zero = tmp_path / "with_zero.csv"
+        with_zero.write_text("".join([*lines[:5], "JZ,2011,500,0.0\n", *lines[5:]]))
+        tables = {}
+        for corpus in (dataset_dir / "toughness_corpus.csv", with_zero):
+            tables[corpus] = tmp_path / f"table_{corpus.stem}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "leadindex.cli", "toughness-build",
+                 "--corpus", str(corpus), "--out", str(tables[corpus])],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+        warned = [line for line in proc.stderr.splitlines() if "zero impact factor" in line]
+        assert warned == ["JZ (2011): zero impact factor, cannot estimate paper count"]
+        first, second = tables.values()
+        assert first.read_bytes() == second.read_bytes()
+
     def test_step_too_small_for_a_sample_is_1(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "out"
         assert main([*command_args("report-bins", dataset_dir, out), "--step", "5e-324"]) == 1
@@ -495,8 +528,8 @@ class TestLoadOrder:
     profiles and publications, so each input is reduced before the next,
     larger one is read."""
 
-    READERS = ("read_toughness_corpus", "read_toughness_table", "read_grants",
-               "read_journals", "read_profiles", "read_publication_columns")
+    READERS = ("read_corpus_columns", "read_toughness_table", "read_grant_columns",
+               "read_journal_columns", "read_profiles", "read_publication_columns")
 
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -510,7 +543,7 @@ class TestLoadOrder:
         return calls
 
     @pytest.mark.parametrize("source, path, reader", [
-        ("--corpus", "toughness_corpus.csv", "read_toughness_corpus"),
+        ("--corpus", "toughness_corpus.csv", "read_corpus_columns"),
         ("--table", "table.csv", "read_toughness_table"),
     ], ids=["corpus", "table"])
     def test_table_source_then_grants_journals_profiles_publications(
@@ -519,8 +552,8 @@ class TestLoadOrder:
         assert main(["score", *dataset_flags(dataset_dir), source, str(dataset_dir / path),
                      "--grants", str(dataset_dir / "grants.csv"),
                      "--period", "2008:2013", "--out-dir", str(tmp_path)]) == 0
-        assert reads == [reader, "read_grants", "read_journals", "read_profiles",
-                         "read_publication_columns"]
+        assert reads == [reader, "read_grant_columns", "read_journal_columns",
+                         "read_profiles", "read_publication_columns"]
         heads = [m.split(":")[0] for m in caplog.messages]
         assert heads.index("toughness table") < heads.index("publications") \
             < heads.index("profiles")
@@ -541,7 +574,7 @@ class TestLoadOrder:
         err = capsys.readouterr().err
         assert f"{corpus}:2: total_citations" in err
         assert str(publications) not in err
-        assert reads == ["read_toughness_corpus"]
+        assert reads == ["read_corpus_columns"]
 
 
 class TestPublicationColumns:

@@ -48,6 +48,8 @@ from leadindex.model import (
     JournalYearIF,
     PublicationRecord,
     Rank,
+    check_grant_columns,
+    check_journal_columns,
     check_publication_columns,
 )
 from leadindex.toughness import DivisorMode, ToughnessTable, build_table
@@ -448,6 +450,22 @@ class TestToughnessTableFile:
         with pytest.raises(FileFormatError, match=r"bad table metadata: base_count \d+ is not"):
             read_toughness_table(path)
 
+    @pytest.mark.parametrize("floor", ["3.0", "1e-300", "-0.0", "0"])
+    def test_bottom_floor_must_be_zero(self, tmp_path, floor):
+        """The bottom level matches any IF, so its min_if can only be 0: a
+        file claiming another floor is refused, not read as if it held 0."""
+        path = tmp_path / "table.csv"
+        write_toughness_table(path, self.table())
+        text = path.read_text()
+        assert text.endswith("\n1,0.0\n")
+        path.write_text(text.removesuffix("0.0\n") + floor + "\n")
+        if float(floor) == 0:
+            assert read_toughness_table(path) == self.table()
+            return
+        with pytest.raises(FileFormatError) as exc:
+            read_toughness_table(path)
+        assert exc.value.errors == [f"{path}: bottom min_if must be 0, got {float(floor)}"]
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "table.csv"
         write_toughness_table(path, self.table())
@@ -636,6 +654,50 @@ class TestIntParserMatchesRegex:
                 == _parse_year_cell(cell, _parse_int_by_regex))
 
 
+# Cells a number parser must agree on with int() or float(): signs, ASCII and
+# other Unicode decimal digits, ".", "e", "_", and whitespace that int() and
+# float() strip (space, "\t", EN SPACE) or do not (the separator "\x1c").
+NUMBER_CHARS = st.sampled_from("+-0123456789.e_ \t\u2002\x1c\u0663\uff15")
+NUMBER_CELLS = (st.text(NUMBER_CHARS, max_size=6)
+                | st.sampled_from(["inf", "-inf", "nan", "Infinity", "1e400", "1" * 4301]))
+NUMBER_PARSERS = {
+    "int": _parse_int, "float": _parse_float,
+    "non-negative int": _non_negative(_parse_int),
+    "non-negative float": _non_negative(_parse_float),
+}
+
+
+class TestColumnFormMatchesParser:
+    @pytest.mark.parametrize("name", sorted(NUMBER_PARSERS))
+    @given(cells=st.lists(NUMBER_CELLS, min_size=1, max_size=4))
+    @example(cells=["1.5", "2.5 ", "3.5"])
+    @example(cells=[" 1", "2"])
+    @example(cells=["1", "2\t"])
+    @example(cells=["1_0"])
+    @example(cells=["1\u2002"])
+    @example(cells=["\x1c1"])
+    @example(cells=["-0", "-0.0", "0"])
+    @example(cells=["\u0663\uff15", "-\u0663.5e\uff15"])
+    @example(cells=["Infinity"])
+    @example(cells=["1e400"])
+    @example(cells=["1" * 4301])
+    @example(cells=[""])
+    @settings(max_examples=300)
+    def test_same_cells_accepted_with_same_values(self, name, cells):
+        """The column form accepts a column exactly when the parser accepts
+        each of its cells, and reads the same values, signed zeros included."""
+        parse = NUMBER_PARSERS[name]
+        try:
+            expected = [parse(cell, name) for cell in cells]
+        except _RowError:
+            expected = None
+        try:
+            got = parse.column(cells)
+        except ValueError:
+            got = None
+        assert repr(got) == repr(expected)
+
+
 def _parse_each_cell(rows, columns, check):
     """``_parse_columns`` without memos, the reference: every cell parsed on
     its own, and each row checked alone, keeping what the check returns. Its
@@ -722,8 +784,9 @@ def _row_loop_only(lines, memos, check):
 # a check, or bad.
 TEXT_CELLS = (["a", "b", "J1", "P1"], [
     "", ",", 'q"t', "l\nm", "l\r\nm", "c\rd", "\x0b", "v\u2028w", "a\0b", " ", "\x85"])
-YEAR_CELLS = (["2010", "1999", "-3"], [" 1", "1.5", "x", "+4", "-0", "00007"])
-FLOAT_CELLS = (["1.5", "0.0", "2", "3.25"], ["-0.0", "1e3", "nan", "inf", "-1.0", "1e400"])
+YEAR_CELLS = (["2010", "1999", "-3"], [" 1", "7 ", "1_0", "1.5", "x", "+4", "-0", "00007"])
+FLOAT_CELLS = (["1.5", "0.0", "2", "3.25"],
+               ["-0.0", "1e3", "nan", "inf", "-1.0", "1e400", "2.5 ", "\t2.5", "2_5"])
 PUBLICATION_CELLS = [
     TEXT_CELLS, TEXT_CELLS, YEAR_CELLS, TEXT_CELLS,
     (["1", "2", "3"], ["0", "100000", "100001", "-1"]),
@@ -739,6 +802,8 @@ CELL_FORMATS = {
                             PUBLICATION_CELLS),
     "journals": (fileio._JOURNALS, fileio._records(JournalYearIF),
                  [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS]),
+    "journal columns": (fileio._JOURNALS, check_journal_columns,
+                        [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS]),
     "profiles": (fileio._PROFILES, fileio._records(InvestigatorProfile), [
         TEXT_CELLS, TEXT_CELLS, (["1", "2", "3"], ["0", "4"]),
         (["", "male", "female"], ["x", "professor"]), (["", "1970"], ["x"]),
@@ -746,6 +811,8 @@ CELL_FORMATS = {
         (["", "USD"], [])]),
     "grants": (fileio._GRANTS, fileio._records(GrantRecord),
                [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS, TEXT_CELLS]),
+    "grant columns": (fileio._GRANTS, check_grant_columns,
+                      [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS, TEXT_CELLS]),
     "corpus": (fileio._CORPUS, None, [
         TEXT_CELLS, YEAR_CELLS, (["0", "10"], ["-1", "x"]), FLOAT_CELLS]),
     "text": ([("x", None), ("y", None)], None, [TEXT_CELLS, TEXT_CELLS]),
@@ -820,6 +887,35 @@ class TestColumnarMatchesRowLoop:
                 with mock.patch.object(fileio, "_columnar", _row_loop_only):
                     expected = _read_rows(text, columns, check)
                 assert _typed(got) == _typed(expected), (k, cell)
+
+    @pytest.mark.parametrize("name, columns, records", [
+        ("journals", "journal columns", "journals"), ("grants", "grant columns", "grants")])
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_column_check_reads_what_the_record_reader_reads(self, name, columns, records,
+                                                             data):
+        """A format's column check keeps the rows its record reader builds, and
+        refuses the rows it refuses, with the same errors."""
+        fields, check, cells = CELL_FORMATS[columns]
+        text = data.draw(csv_texts(fields, cells))
+        with mock.patch.object(fileio, "_CHUNK", data.draw(st.sampled_from([1, 3, 2048]))):
+            got = _read_rows(text, fields, check)
+            expected = _read_rows(text, fields, CELL_FORMATS[records][1])
+        assert _typed(got) == _typed(expected)
+
+    @pytest.mark.parametrize("cells", [["1.5", "2.5 ", "3.5"], [" 1.5", "2.5", "3.5"],
+                                       ["1.5", "2.5", "3.5\t"]])
+    def test_padded_number_inside_a_chunk(self, cells):
+        """A padded cell anywhere in a chunk's column sends the chunk to the
+        row loop, which refuses it on its own line."""
+        rows = [f"J1,{2010 + k},{cell}" for k, cell in enumerate(cells)]
+        text = "journal,year,impact_factor\n" + "\n".join(rows) + "\n"
+        got = _read_rows(text, fileio._JOURNALS, check_journal_columns)
+        with mock.patch.object(fileio, "_columnar", _row_loop_only):
+            expected = _read_rows(text, fileio._JOURNALS, check_journal_columns)
+        line = 2 + next(k for k, cell in enumerate(cells) if cell != cell.strip())
+        padded = next(cell for cell in cells if cell != cell.strip())
+        assert got == expected == [f"t.csv:{line}: impact_factor: not a number: {padded!r}"]
 
     def test_bad_cell_in_a_later_chunk_keeps_its_line(self):
         rows = [f"p{i},P1,2010,J1,3,1,1,true" for i in range(10)]

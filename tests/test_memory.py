@@ -18,6 +18,7 @@ from leadindex.model import (
     InvestigatorProfile,
     JournalYearIF,
     PublicationRecord,
+    aggregate_grants,
     validate_columns,
     validate_dataset,
 )
@@ -78,17 +79,35 @@ def test_read_publications_peak_per_row(tmp_path):
     assert peak / n <= 215
 
 
+def _grants_file(path, n):
+    """A grants.csv of n rows over 1,000 investigators, each amount distinct."""
+    fileio.write_grants(path, (GrantRecord(f"P{i % 1000:04d}", 2000 + i % 10,
+                                           1000.0 + i * 0.25, "CNY") for i in range(n)))
+    return path
+
+
 def test_read_grants_peak_per_row(tmp_path):
     # Each row's record is built once, by the check, and kept.
     n = 100_000
-    path = tmp_path / "grants.csv"
-    fileio.write_grants(path, (GrantRecord(f"P{i % 1000:04d}", 2000 + i % 10,
-                                           1000.0 + i * 0.25, "CNY") for i in range(n)))
+    path = _grants_file(tmp_path / "grants.csv", n)
 
     peak, records = traced_peak(fileio.read_grants, path)
 
     assert len(records) == n
     assert peak / n <= 135
+
+
+def test_grants_stage_peak_per_row(tmp_path):
+    # The CLI's grants stage: the checked columns, then one total per
+    # investigator from their rows as plain tuples. No record is built.
+    n = 100_000
+    path = _grants_file(tmp_path / "grants.csv", n)
+
+    peak, totals = traced_peak(
+        lambda: aggregate_grants(zip(*fileio.read_grant_columns(path))))
+
+    assert len(totals) == 1000
+    assert peak / n <= 90
 
 
 def test_read_publications_then_validate_peak_per_row(tmp_path):

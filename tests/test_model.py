@@ -20,6 +20,8 @@ from leadindex.model import (
     ValidatedDataset,
     aggregate_grants,
     apply_funding,
+    check_grant_columns,
+    check_journal_columns,
     validate_dataset,
 )
 
@@ -152,6 +154,37 @@ class TestInputRecords:
         with pytest.raises(ValueError) as exc:
             build()
         assert str(exc.value) == text
+
+    @given(text=st.sampled_from(["", "J"]), other=st.sampled_from(["", "USD"]),
+           amount=st.sampled_from([0.0, -0.0, 1.5, -1.0, -5e-324, math.inf, -math.inf,
+                                   math.nan]))
+    def test_column_checks_refuse_a_row_as_its_constructor_does(self, text, other, amount):
+        """For one row, a column check raises exactly when the record's
+        constructor does, with its message."""
+        for build, check, row in [
+                (JournalYearIF, check_journal_columns, (text, 2010, amount)),
+                (GrantRecord, check_grant_columns, (text, 2010, amount, other))]:
+            try:
+                build(*row)
+                expected = None
+            except ValueError as exc:
+                expected = str(exc)
+            try:
+                check([[value] for value in row])
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected, build.__name__
+
+    def test_column_checks_screen_every_row(self):
+        amounts = [1.0] * 5 + [math.nan] + [2.0] * 5
+        with pytest.raises(ValueError, match="amount must be finite and >= 0, got nan"):
+            check_grant_columns([["P1"] * 11, [2010] * 11, amounts, ["USD"] * 11])
+        with pytest.raises(ValueError, match="impact_factor must be finite and >= 0, got -1.0"):
+            check_journal_columns([["J"] * 3, [2010] * 3, [3.0, -1.0, 2.0]])
+        with pytest.raises(ValueError, match="currency must be non-empty"):
+            check_grant_columns([["P1"] * 2, [2010] * 2, [1.0] * 2, ["USD", ""]])
+        assert check_journal_columns([[], [], []]) == [[], [], []]
 
     @pytest.mark.parametrize("total", [math.nan, math.inf, -1.0])
     def test_apply_funding_checks_the_new_total(self, total):
