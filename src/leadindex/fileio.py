@@ -192,10 +192,10 @@ def _records(record) -> Callable:
     return lambda columns: [list(map(record, *columns))]
 
 
-def _publication_records(columns) -> list[list]:
-    """check_publication_columns runs PublicationRecord's checks, so the records
-    of its columns, kept as one column, are built with _make."""
-    return [list(map(PublicationRecord._make, zip(*check_publication_columns(columns))))]
+def _made(record, check: Callable) -> Callable:
+    """A check that runs ``check``, which applies ``record``'s rules to a chunk's
+    columns, then builds the records with _make and keeps them as one column."""
+    return lambda columns: [list(map(record._make, zip(*check(columns))))]
 
 
 def _parse_columns(path: Pathish, f, columns, check: Callable | None = None,
@@ -353,7 +353,8 @@ def read_publications(path: Pathish) -> list[PublicationRecord]:
     Each chunk is checked as read_publication_columns checks it, then its
     records are built with _make; no column outlives its chunk.
     """
-    return _read_columns(path, _PUBLICATIONS, _publication_records)[0]
+    return _read_columns(path, _PUBLICATIONS,
+                         _made(PublicationRecord, check_publication_columns))[0]
 
 
 def read_publication_columns(path: Pathish) -> list[list]:
@@ -367,7 +368,7 @@ def read_publication_columns(path: Pathish) -> list[list]:
 
 
 def read_journals(path: Pathish) -> list[JournalYearIF]:
-    return _read_columns(path, _JOURNALS, _records(JournalYearIF))[0]
+    return _read_columns(path, _JOURNALS, _made(JournalYearIF, check_journal_columns))[0]
 
 
 def read_journal_columns(path: Pathish) -> list[list]:
@@ -381,7 +382,7 @@ def read_profiles(path: Pathish) -> list[InvestigatorProfile]:
 
 
 def read_grants(path: Pathish) -> list[GrantRecord]:
-    return _read_columns(path, _GRANTS, _records(GrantRecord))[0]
+    return _read_columns(path, _GRANTS, _made(GrantRecord, check_grant_columns))[0]
 
 
 def read_grant_columns(path: Pathish) -> list[list]:

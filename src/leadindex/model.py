@@ -13,7 +13,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import compress, groupby, islice, repeat
 from operator import eq, getitem, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -374,16 +374,17 @@ def validate_columns(
 
     any_prior_year = fallback is IFFallback.NEAREST_PRIOR_YEAR
     # Per journal, its entry years ascending and their impact factors.
-    index: dict[str, tuple[list[int], list[float]]] = {}
-    for journal, year, impact_factor in sorted(journals, key=itemgetter(0, 1)):
-        years, ifs = index.setdefault(journal, ([], []))
-        if years and years[-1] == year:
-            errors.append(f"duplicate impact factor entry for {journal} {year}")
-        else:
-            years.append(year)
-            ifs.append(impact_factor)
-    impact = {journal: _JournalYears(years, ifs, any_prior_year)
-              for journal, (years, ifs) in index.items()}
+    impact: dict[str, _JournalYears] = {}
+    for journal, entries in groupby(sorted(journals, key=itemgetter(0, 1)), itemgetter(0)):
+        years: list[int] = []
+        ifs: list[float] = []
+        for _, year, impact_factor in entries:
+            if years and years[-1] == year:
+                errors.append(f"duplicate impact factor entry for {journal} {year}")
+            else:
+                years.append(year)
+                ifs.append(impact_factor)
+        impact[journal] = _JournalYears(years, ifs, any_prior_year)
 
     profile_map: dict[str, InvestigatorProfile] = {}
     for p in profiles:

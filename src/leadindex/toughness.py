@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from operator import neg, truediv
+from itertools import accumulate
+from operator import neg, sub, truediv
 from typing import Callable, Iterable, Sequence
 
 
@@ -171,27 +172,17 @@ def build_table(
         if count:
             by_if[impact_factor] = by_if.get(impact_factor, 0) + count
 
-    base = top_level_size(sum(by_if.values()), level_count, divisor_mode)
-    # Cumulative end position of each level above the bottom.
-    boundaries = [base * (2**i - 1) for i in range(1, level_count)]
-
-    level_min: list[float | None] = [None] * level_count
-    level_sizes = [0] * level_count
-    position = 0  # papers consumed so far
-    for impact_factor in sorted(by_if, reverse=True):
-        # Boundaries strictly increase (base >= 1); past the last, the bottom level.
-        level = bisect_right(boundaries, position)
-        group = by_if[impact_factor]
-        level_sizes[level] += group
-        level_min[level] = impact_factor  # descending walk: last write is the min
-        position += group
-
-    cutoffs: list[float] = []
-    for minimum in level_min[:-1]:
-        # An empty level (never the top) inherits the cutoff above: it cannot match.
-        cutoffs.append(cutoffs[-1] if minimum is None else minimum)
-
-    return ToughnessTable(tuple(cutoffs), divisor_mode, tuple(level_sizes))
+    impact_factors = sorted(by_if, reverse=True)
+    # Papers ranked above each impact factor's papers, then the corpus size.
+    above = list(accumulate(map(by_if.__getitem__, impact_factors), initial=0))
+    base = top_level_size(above[-1], level_count, divisor_mode)
+    # Level i ends at position X * (2^i - 1), below the corpus size. Count the
+    # impact factors whose first paper ranks above that end: the last of them
+    # is the level's cutoff, so an empty level repeats the cutoff above it.
+    counts = [bisect_left(above, base * (2**i - 1)) for i in range(1, level_count)]
+    cutoffs = tuple(impact_factors[k - 1] for k in counts)
+    ends = [*map(above.__getitem__, counts), above[-1]]
+    return ToughnessTable(cutoffs, divisor_mode, tuple(map(sub, ends, [0, *ends])))
 
 
 def weight_of(table: ToughnessTable, impact_factor: float) -> int:

@@ -797,12 +797,15 @@ CELL_FORMATS = {
     "publications": (fileio._PUBLICATIONS, fileio._records(PublicationRecord), PUBLICATION_CELLS),
     # The readers' check: columns checked once per distinct key, no record per row.
     "publication columns": (fileio._PUBLICATIONS, check_publication_columns, PUBLICATION_CELLS),
-    # read_publications' check: the checked columns' records, built with _make.
-    "publication records": (fileio._PUBLICATIONS, fileio._publication_records,
-                            PUBLICATION_CELLS),
+    # The record readers' checks: the checked columns' records, built with _make.
+    "publication records": (
+        fileio._PUBLICATIONS, fileio._made(PublicationRecord, check_publication_columns),
+        PUBLICATION_CELLS),
     "journals": (fileio._JOURNALS, fileio._records(JournalYearIF),
                  [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS]),
     "journal columns": (fileio._JOURNALS, check_journal_columns,
+                        [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS]),
+    "journal records": (fileio._JOURNALS, fileio._made(JournalYearIF, check_journal_columns),
                         [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS]),
     "profiles": (fileio._PROFILES, fileio._records(InvestigatorProfile), [
         TEXT_CELLS, TEXT_CELLS, (["1", "2", "3"], ["0", "4"]),
@@ -812,6 +815,8 @@ CELL_FORMATS = {
     "grants": (fileio._GRANTS, fileio._records(GrantRecord),
                [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS, TEXT_CELLS]),
     "grant columns": (fileio._GRANTS, check_grant_columns,
+                      [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS, TEXT_CELLS]),
+    "grant records": (fileio._GRANTS, fileio._made(GrantRecord, check_grant_columns),
                       [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS, TEXT_CELLS]),
     "corpus": (fileio._CORPUS, None, [
         TEXT_CELLS, YEAR_CELLS, (["0", "10"], ["-1", "x"]), FLOAT_CELLS]),
@@ -889,13 +894,17 @@ class TestColumnarMatchesRowLoop:
                 assert _typed(got) == _typed(expected), (k, cell)
 
     @pytest.mark.parametrize("name, columns, records", [
-        ("journals", "journal columns", "journals"), ("grants", "grant columns", "grants")])
+        ("journals", "journal columns", "journals"), ("grants", "grant columns", "grants"),
+        ("journal records", "journal records", "journals"),
+        ("grant records", "grant records", "grants"),
+        ("publication records", "publication records", "publications")])
     @given(data=st.data())
     @settings(max_examples=100)
     def test_column_check_reads_what_the_record_reader_reads(self, name, columns, records,
                                                              data):
-        """A format's column check keeps the rows its record reader builds, and
-        refuses the rows it refuses, with the same errors."""
+        """A format's column check, or its record reader's check, keeps the rows
+        the record's constructor builds, and refuses the rows it refuses, with
+        the same errors."""
         fields, check, cells = CELL_FORMATS[columns]
         text = data.draw(csv_texts(fields, cells))
         with mock.patch.object(fileio, "_CHUNK", data.draw(st.sampled_from([1, 3, 2048]))):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import time
+from bisect import bisect_right
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from leadindex.toughness import (
     ToughnessTable,
     build_table,
     estimate_paper_counts,
+    top_level_size,
     weight_of,
     weighted_if,
 )
@@ -164,6 +166,77 @@ class TestBuildTable:
             i = j
         for impact, weight in expected.items():
             assert weight_of(table, impact) == weight
+
+
+def walk_table(corpus, level_count=10, divisor_mode=DivisorMode.GEOMETRIC_SUM):
+    """The reference build: walk the impact factors from the top, placing each
+    group by where its first paper falls among the boundaries."""
+    if level_count < 1:
+        raise ValueError("level_count must be >= 1")
+    by_if = {}
+    for count, impact_factor in corpus:
+        if count < 0:
+            raise ValueError(f"paper_count must be >= 0, got {count}")
+        if not impact_factor >= 0:
+            raise ValueError(f"impact_factor must be >= 0, got {impact_factor}")
+        if count:
+            by_if[impact_factor] = by_if.get(impact_factor, 0) + count
+    base = top_level_size(sum(by_if.values()), level_count, divisor_mode)
+    boundaries = [base * (2**i - 1) for i in range(1, level_count)]
+    level_min = [None] * level_count
+    level_sizes = [0] * level_count
+    position = 0
+    for impact_factor in sorted(by_if, reverse=True):
+        level = bisect_right(boundaries, position)
+        level_sizes[level] += by_if[impact_factor]
+        level_min[level] = impact_factor
+        position += by_if[impact_factor]
+    cutoffs = []
+    for minimum in level_min[:-1]:
+        cutoffs.append(cutoffs[-1] if minimum is None else minimum)
+    return ToughnessTable(tuple(cutoffs), divisor_mode, tuple(level_sizes))
+
+
+def built_or_refused(build, corpus, level_count, divisor_mode):
+    """A build's cutoffs (by repr) and level sizes, or its error text."""
+    try:
+        table = build(corpus, level_count, divisor_mode)
+    except ValueError as error:
+        return str(error)
+    return list(map(repr, table.cutoffs)), table.level_sizes
+
+
+@st.composite
+def levelled_corpora(draw):
+    """Corpora of unit counts, whose groups start on boundaries, of big groups
+    that leave middle levels empty, of zero counts and repeated IFs; a few are
+    too small or hold a refused row."""
+    levels = draw(st.integers(1, 16))
+    impacts = st.sampled_from([0.0, 5e-324, 1.0, 2.0, 7.0, 1e300]) | st.floats(0, 1e6)
+    counts = st.sampled_from([0, 1]) | st.integers(0, 2**levels)
+    corpus = draw(st.lists(st.tuples(counts, impacts), max_size=40))
+    corpus.insert(draw(st.integers(0, len(corpus))),
+                  (draw(st.integers(0, 2 ** (levels + 1))), draw(impacts)))
+    if draw(st.integers(0, 9)):
+        short = 2**levels - 1 - sum(count for count, _ in corpus)
+        if short > 0:
+            corpus.append((short, draw(impacts)))
+    if not draw(st.integers(0, 9)):
+        corpus.insert(draw(st.integers(0, len(corpus))),
+                      draw(st.sampled_from([(-1, 1.0), (1, -1.0), (1, math.nan)])))
+    return corpus, levels, draw(st.sampled_from(DivisorMode))
+
+
+class TestBuildTableMatchesTheWalk:
+    @given(levelled_corpora())
+    @example((distinct_if_corpus(7), 3, DivisorMode.GEOMETRIC_SUM))  # starts on boundaries
+    @example(([(600, 5.0), (423, 1.0)], 10, DivisorMode.GEOMETRIC_SUM))  # empty levels
+    @example(([(1, 2.0), (0, 9.0), (3, 2.0), (4, 1.0)], 3, DivisorMode.HALF_POW))
+    @settings(max_examples=400, deadline=None)
+    def test_same_cutoffs_sizes_and_errors(self, drawn):
+        corpus, levels, mode = drawn
+        assert (built_or_refused(build_table, corpus, levels, mode)
+                == built_or_refused(walk_table, corpus, levels, mode))
 
 
 def scan_weight(table, impact_factor):
