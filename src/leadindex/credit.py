@@ -69,10 +69,9 @@ def _harmonic(k: int) -> float:
     while len(_HARMONIC) <= k:
         term = 1.0 / len(_HARMONIC)
         t = _h_sum + term
-        if abs(_h_sum) >= term:
-            _h_comp += (_h_sum - t) + term
-        else:
-            _h_comp += (term - t) + _h_sum
+        # Neumaier's step where _h_sum >= term, true from k = 2 on (the sum is
+        # then at least 1); at k = 1 it adds (0 - 1) + 1 = 0.0, the exact error.
+        _h_comp += (_h_sum - t) + term
         _h_sum = t
         _HARMONIC.append(_h_sum + _h_comp)
     return _HARMONIC[k]

@@ -137,24 +137,6 @@ def _optional(parse=None):
     return parse_optional
 
 
-def _non_negative(parse):
-    def parse_non_negative(text: str, field: str):
-        value = parse(text, field)
-        if value < 0:
-            raise _RowError(f"{field}: must be >= 0, got {value}")
-        return value
-
-    if hasattr(parse, "column"):
-        def non_negative_column(cells: list) -> list:
-            values = parse.column(cells)
-            if min(values, default=0) < 0:
-                raise ValueError("a value is negative")
-            return values
-
-        parse_non_negative.column = non_negative_column
-    return parse_non_negative
-
-
 # Each format is its ordered (column, parser) list; None keeps the text as is.
 # Records take the parsed values positionally, so their fields follow this order.
 _PUBLICATIONS = [
@@ -173,8 +155,7 @@ _GRANTS = [("pi_id", None), ("year", _parse_int), ("amount", _parse_float),
            ("currency", None)]
 _CORPUS = [
     ("journal", None), ("year", _parse_int),
-    ("total_citations", _non_negative(_parse_int)),
-    ("impact_factor", _non_negative(_parse_float)),
+    ("total_citations", _parse_int), ("impact_factor", _parse_float),
 ]
 _TABLE = [("weight", _parse_int), ("min_if", _parse_float)]
 
@@ -184,6 +165,20 @@ PROFILES_HEADER = [name for name, _ in _PROFILES]
 GRANTS_HEADER = [name for name, _ in _GRANTS]
 CORPUS_HEADER = [name for name, _ in _CORPUS]
 _TABLE_HEADER = [name for name, _ in _TABLE]
+
+
+def _kept(columns: list[list]) -> list[list]:
+    """The check of a format with no rule beyond its cells: keeps every column."""
+    return columns
+
+
+def _check_corpus(columns: list[list]) -> list[list]:
+    """The corpus's rule: total_citations, then impact_factor, must be >= 0."""
+    for name, column in zip(CORPUS_HEADER[2:], columns[2:]):
+        value = min(column, default=0)
+        if value < 0:
+            raise ValueError(f"{name}: must be >= 0, got {value}")
+    return columns
 
 
 def _records(record) -> Callable:
@@ -198,19 +193,19 @@ def _made(record, check: Callable) -> Callable:
     return lambda columns: [list(map(record._make, zip(*check(columns))))]
 
 
-def _parse_columns(path: Pathish, f, columns, check: Callable | None = None,
+def _parse_columns(path: Pathish, f, columns, check: Callable = _kept,
                    header_line: int = 1) -> list[list]:
     """Check the header line of ``f``, then read its data rows as value columns.
 
-    Without ``check`` the result holds one list per (column, parser) of
-    ``columns``. Every bad row is reported as ``path:line: ...``, at the
-    line the row starts on, and all of them are raised together. A row is
-    named by its leftmost cell that fails to parse; only a row whose cells
-    all parse is then given to ``check``. ``check`` takes value columns, a
-    chunk's or one row's as one-item columns, and returns the columns to
-    keep; a ValueError it raises refuses the row, with that row's own text
-    for one row. The result is then its output for no rows, extended by its
-    output for each chunk and row. ``header_line`` is where ``f`` starts.
+    Every bad row is reported as ``path:line: ...``, at the line the row
+    starts on, and all of them are raised together. A row is named by its
+    leftmost cell that fails to parse; only a row whose cells all parse is
+    then given to ``check``. ``check`` takes value columns, one list per
+    (column, parser) of ``columns``, a chunk's or one row's as one-item
+    columns, and returns the columns to keep; a ValueError it raises
+    refuses the row, with that row's own text for one row. The result is
+    its output for no rows, extended by its output for each chunk and row.
+    ``header_line`` is where ``f`` starts.
 
     Rows are read ``_CHUNK`` lines at a time and parsed a column at a time
     while each chunk is plain CSV and error-free. From the first chunk that
@@ -233,9 +228,7 @@ def _parse_columns(path: Pathish, f, columns, check: Callable | None = None,
     # Each column's memo maps cell text to its value; a bad cell raises
     # before it is stored, so it is reported on every line it appears on.
     memos = [(i, name, parse, {}) for i, (name, parse) in enumerate(columns)]
-    out = [[] for _ in range(width)]
-    if check is not None:
-        out = check(out)
+    out = check([[] for _ in range(width)])
     start = reader.line_num + header_line  # file line the next row starts on
     lines = []
     # A blank line is a row of no cells to csv.reader, which only its comma
@@ -268,12 +261,8 @@ def _parse_columns(path: Pathish, f, columns, check: Callable | None = None,
                         if len(memo) < _MEMO_LIMIT:
                             memo[text] = value
                     row[i] = value
-                if check is None:
-                    for column, value in zip(out, row):
-                        column.append(value)
-                else:
-                    for column, part in zip(out, check([[value] for value in row])):
-                        column += part
+                for column, part in zip(out, check([[value] for value in row])):
+                    column += part
             except ValueError as exc:  # _RowError or a check's refusal
                 errors.append(f"{path}:{line}: {exc}")
     except csv.Error as exc:  # such as a cell over csv.field_size_limit()
@@ -284,7 +273,7 @@ def _parse_columns(path: Pathish, f, columns, check: Callable | None = None,
     return out
 
 
-def _columnar(lines: list, memos, check: Callable | None) -> list[list] | None:
+def _columnar(lines: list, memos, check: Callable) -> list[list] | None:
     """The value columns of ``lines``, one row per line, parsed a column at a
     time, or what ``check`` keeps of them.
 
@@ -330,7 +319,7 @@ def _columnar(lines: list, memos, check: Callable | None) -> list[list] | None:
                     memo.update(zip(new, new if parse is None else _parsed(parse, name, new)))
                     col = list(map(memo.__getitem__, col))
             cols.append(col)
-        return cols if check is None else check(cols)
+        return check(cols)
     except ValueError:  # _RowError or a check's refusal
         return None
 
@@ -342,7 +331,7 @@ def _parsed(parse, name: str, cells: list) -> list:
     return list(map(parse, cells, repeat(name)))
 
 
-def _read_columns(path: Pathish, columns, check: Callable | None = None) -> list[list]:
+def _read_columns(path: Pathish, columns, check: Callable = _kept) -> list[list]:
     with open(path, newline="", encoding="utf-8") as f:
         return _parse_columns(path, f, columns, check)
 
@@ -398,8 +387,8 @@ def read_toughness_corpus(path: Pathish) -> list[tuple[str, int, int, float]]:
 
 def read_corpus_columns(path: Pathish) -> list[list]:
     """The toughness corpus as its journal, year, total_citations and
-    impact_factor columns."""
-    return _read_columns(path, _CORPUS)
+    impact_factor columns, each count and impact factor at least 0."""
+    return _read_columns(path, _CORPUS, _check_corpus)
 
 
 def _write_csv(
@@ -524,8 +513,11 @@ def read_toughness_table(path: Pathish) -> ToughnessTable:
             mode = DivisorMode(meta["divisor_mode"])
             base_count = _parse_int(meta["base_count"], "base_count")
             total_papers = _parse_int(meta["total_papers"], "total_papers")
-            size = _non_negative(_parse_int)
-            level_sizes = tuple(size(s, "level_sizes") for s in meta["level_sizes"].split("|"))
+            level_sizes = []
+            for token in meta["level_sizes"].split("|"):  # each refused before the next is parsed
+                level_sizes.append(_parse_int(token, "level_sizes"))
+                if level_sizes[-1] < 0:
+                    raise ValueError(f"level_sizes: must be >= 0, got {level_sizes[-1]}")
         except (KeyError, ValueError) as exc:
             raise FileFormatError([f"{path}: bad table metadata: {exc}"]) from None
         if version != _TABLE_VERSION:
@@ -542,7 +534,7 @@ def read_toughness_table(path: Pathish) -> ToughnessTable:
         # The declared total first, so too few papers reads as bad metadata.
         top_level_size(total_papers, levels, mode)
         try:
-            table = ToughnessTable(tuple(floors[:-1]), mode, level_sizes)
+            table = ToughnessTable(tuple(floors[:-1]), mode, tuple(level_sizes))
         except ValueError as exc:
             raise FileFormatError([f"{path}: {exc}"]) from None
         # The marker's counts must be the table's own.

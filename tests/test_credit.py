@@ -169,3 +169,24 @@ def test_cache_is_safe_under_concurrent_growth():
         t.join()
     for k, value in results.items():
         assert value == a_index(3000 + k, 1)
+
+
+def two_branch_harmonics(n):
+    """H_0..H_n by Neumaier's two-branch summation, as the cache once ran it:
+    the reference its one-branch step must agree with."""
+    harmonics, total, comp = [0.0], 0.0, 0.0
+    for k in range(1, n + 1):
+        term = 1.0 / k
+        t = total + term
+        if abs(total) >= term:
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
+        harmonics.append(total + comp)
+    return harmonics
+
+
+def test_harmonic_cache_matches_the_two_branch_sum():
+    expected = two_branch_harmonics(20_000)
+    assert [repr(credit._harmonic(k)) for k in range(20_001)] == list(map(repr, expected))

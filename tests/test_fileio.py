@@ -20,7 +20,6 @@ from leadindex import fileio
 from leadindex.credit import MAX_AUTHOR_COUNT
 from leadindex.errors import FileFormatError
 from leadindex.fileio import (
-    _non_negative,
     _optional,
     _parse_bool,
     _parse_float,
@@ -243,6 +242,8 @@ class TestStrictParsing:
         ("JA,2009,-1,2.5", "total_citations"),
         ("JA,2009,10,-0.5", "impact_factor"),
         ("JA,20x9,-1,-0.5", "year"),  # the first bad column from the left
+        # The rule runs once every cell parses, so a bad cell names the row.
+        ("JA,2009,-1,x", "impact_factor"),
     ])
     def test_corpus_reports_first_bad_column(self, tmp_path, row, column):
         path = tmp_path / "corpus.csv"
@@ -424,14 +425,17 @@ class TestToughnessTableFile:
             read_toughness_table(path)
         assert exc.value.errors == [f"{path}: bad table metadata: {error}"]
 
-    def test_negative_level_size_rejected(self, tmp_path):
-        # The sizes still sum to total_papers, so only the sign is wrong.
+    @pytest.mark.parametrize("sizes, size", [
+        ("7|14|-28|113", -28),  # the sizes still sum to total_papers: only the sign is wrong
+        ("7|-14|x|113", -14),  # each size is refused before the next is parsed
+    ])
+    def test_negative_level_size_rejected(self, tmp_path, sizes, size):
         path = tmp_path / "table.csv"
-        self.write_marked(path, level_sizes="7|14|-28|113")
+        self.write_marked(path, level_sizes=sizes)
         with pytest.raises(FileFormatError) as exc:
             read_toughness_table(path)
         assert exc.value.errors == [
-            f"{path}: bad table metadata: level_sizes: must be >= 0, got -28"]
+            f"{path}: bad table metadata: level_sizes: must be >= 0, got {size}"]
 
     def test_too_few_papers_for_the_levels_rejected(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -660,11 +664,7 @@ class TestIntParserMatchesRegex:
 NUMBER_CHARS = st.sampled_from("+-0123456789.e_ \t\u2002\x1c\u0663\uff15")
 NUMBER_CELLS = (st.text(NUMBER_CHARS, max_size=6)
                 | st.sampled_from(["inf", "-inf", "nan", "Infinity", "1e400", "1" * 4301]))
-NUMBER_PARSERS = {
-    "int": _parse_int, "float": _parse_float,
-    "non-negative int": _non_negative(_parse_int),
-    "non-negative float": _non_negative(_parse_float),
-}
+NUMBER_PARSERS = {"int": _parse_int, "float": _parse_float}
 
 
 class TestColumnFormMatchesParser:
@@ -707,9 +707,7 @@ def _parse_each_cell(rows, columns, check):
         try:
             kept = [[text if parse is None else parse(text, name)]
                     for (name, parse), text in zip(columns, row)]
-            if check is not None:
-                kept = check(kept)
-            records.extend(zip(*kept))
+            records.extend(zip(*check(kept)))
         except ValueError as exc:
             errors.append(f"t.csv:{line}: {exc}")
     return errors or records
@@ -730,7 +728,7 @@ MEMO_CELLS = st.sampled_from([
     "\u00b2", "1.5", "-0.0", "0.0", "1e3", "1e400", "nan", "true", "false", "x",
 ])
 MEMO_COLUMNS = [
-    ("text", None), ("int", _parse_int), ("count", _non_negative(_parse_int)),
+    ("text", None), ("int", _parse_int), ("count", _parse_int),
     ("opt_int", _optional(_parse_int)), ("number", _parse_float), ("flag", _parse_bool),
     ("note", _optional()),
 ]
@@ -739,7 +737,7 @@ MEMO_COLUMNS = [
 class TestMemoisedRowsMatchPerCellParsing:
     @given(rows=st.lists(st.lists(MEMO_CELLS, min_size=len(MEMO_COLUMNS),
                                   max_size=len(MEMO_COLUMNS)), max_size=30),
-           check=st.sampled_from([None, _odd_sum_refused]),
+           check=st.sampled_from([fileio._kept, _odd_sum_refused]),
            limit=st.sampled_from([0, 2, 2**16]))
     @settings(max_examples=300)
     def test_same_records_and_errors(self, rows, check, limit):
@@ -818,9 +816,9 @@ CELL_FORMATS = {
                       [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS, TEXT_CELLS]),
     "grant records": (fileio._GRANTS, fileio._made(GrantRecord, check_grant_columns),
                       [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS, TEXT_CELLS]),
-    "corpus": (fileio._CORPUS, None, [
+    "corpus": (fileio._CORPUS, fileio._check_corpus, [
         TEXT_CELLS, YEAR_CELLS, (["0", "10"], ["-1", "x"]), FLOAT_CELLS]),
-    "text": ([("x", None), ("y", None)], None, [TEXT_CELLS, TEXT_CELLS]),
+    "text": ([("x", None), ("y", None)], fileio._kept, [TEXT_CELLS, TEXT_CELLS]),
     "memo": (MEMO_COLUMNS, _odd_sum_refused, [(
         ["", "0", "7", "-0", "1.5", "-0.0", "true", "x"],
         ["+-1", "1_0", " 1", "\u0663\uff15", "1e400", "nan"])] * len(MEMO_COLUMNS)),
