@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .credit import CreditScenario
@@ -55,15 +54,13 @@ class MetricSummary(NamedTuple):
     mark: str = ""
 
 
-@dataclass(frozen=True)
-class CohortSummary:
+class CohortSummary(NamedTuple):
     group: str
     n: int
     metrics: dict[str, MetricSummary]
 
 
-@dataclass(frozen=True)
-class CohortReport:
+class CohortReport(NamedTuple):
     grouping: Grouping
     groups: tuple[CohortSummary, ...]
     reference_group: Optional[str]
@@ -83,8 +80,7 @@ class ExcludedSample(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True)
-class BinSeries:
+class BinSeries(NamedTuple):
     step: float
     bins: tuple[TimeBin, ...]
     excluded: tuple[ExcludedSample, ...]
@@ -99,8 +95,7 @@ class TrendPoint(NamedTuple):
     t_equiv: Optional[float]
 
 
-@dataclass(frozen=True)
-class TrendSeries:
+class TrendSeries(NamedTuple):
     span: tuple[int, int]
     points: tuple[TrendPoint, ...]
 

@@ -11,7 +11,6 @@ import enum
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
 from itertools import compress, groupby, islice, repeat
 from operator import eq, getitem, itemgetter
@@ -42,10 +41,9 @@ class IFFallback(enum.Enum):
     NEAREST_PRIOR_YEAR = "nearest-prior-year"
 
 
-# The four input records are tuples: a NamedTuple base declares the fields,
-# and each record's __new__ checks the values before tuple.__new__ stores
-# them, so a record costs one tuple. _replace and _make skip __new__ and its
-# checks; a changed record is built through the constructor instead.
+# Checked values are tuples: a NamedTuple base declares the fields and the subclass's
+# __new__ checks them, so a value costs one tuple; a record's __new__ spells out its
+# fields, which is faster. _replace and _make skip the checks: build changed values anew.
 
 
 class _PublicationFields(NamedTuple):
@@ -226,14 +224,7 @@ def check_grant_columns(columns: Sequence[list]) -> Sequence[list]:
     return columns
 
 
-@dataclass(frozen=True)
-class ScoreCard:
-    """Per-investigator metrics for one period.
-
-    Cards with ``paper_count`` 0 are unscored: every metric field is None.
-    Every metric of a scored card is finite.
-    """
-
+class _ScoreCardFields(NamedTuple):
     pi_id: str
     period: tuple[int, int]
     paper_count: int
@@ -244,7 +235,18 @@ class ScoreCard:
     leadership: Optional[float]
     l_fund: Optional[float] = None
 
-    def __post_init__(self):
+
+class ScoreCard(_ScoreCardFields):
+    """Per-investigator metrics for one period.
+
+    Cards with ``paper_count`` 0 are unscored: every metric field is None.
+    Every metric of a scored card is finite.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         metrics = (self.o_raw, self.o_weighted, self.t_equiv, self.efficiency, self.leadership)
         if self.paper_count == 0:
             if any(m is not None for m in metrics):
@@ -254,14 +256,20 @@ class ScoreCard:
         elif not all(map(math.isfinite, metrics + (self.l_fund or 0.0,))):
             start, end = self.period
             raise ValueError(f"investigator {self.pi_id}: non-finite metric in {start}-{end}")
+        return self
 
     @property
     def scored(self) -> bool:
         return self.paper_count > 0
 
 
-@dataclass(frozen=True)
-class ValidatedDataset:
+class _DatasetFields(NamedTuple):
+    columns: tuple[list, ...]
+    profiles: Mapping[str, InvestigatorProfile]
+    warnings: tuple[str, ...] = ()
+
+
+class ValidatedDataset(_DatasetFields):
     """Cross-checked analysis inputs with impact factors resolved per paper.
 
     ``columns`` holds the publications as one list per PublicationRecord
@@ -270,14 +278,19 @@ class ValidatedDataset:
     ``publications`` is read.
     """
 
-    columns: tuple[list, ...]
-    profiles: Mapping[str, InvestigatorProfile]
-    _: KW_ONLY
-    warnings: tuple[str, ...] = ()
-    # The impact factor of each row.
-    _ifs: list[float] = field(default_factory=list, compare=False, repr=False)
-    # Per investigator, the ascending row indices of its corresponding papers.
-    _by_pi: Mapping[str, array] = field(default_factory=dict, compare=False, repr=False)
+    # No __slots__: the instance dict, which == and repr skip, holds the cached views, each
+    # row's impact factor (_ifs) and each investigator's ascending corresponding rows (_by_pi).
+    def __new__(cls, columns, profiles, *, warnings=(), _ifs=None, _by_pi=None):
+        self = super().__new__(cls, columns, profiles, warnings)
+        self.__dict__.update(_ifs=_ifs or [], _by_pi=_by_pi or {})
+        return self
+
+    def __getnewargs_ex__(self):  # for copy and pickle, which then restore __dict__
+        return (self.columns, self.profiles), {"warnings": self.warnings}
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: ValidatedDataset is frozen")
+    __delattr__ = __setattr__
 
     @cached_property
     def publications(self) -> tuple[PublicationRecord, ...]:

@@ -28,12 +28,8 @@ from .model import ScoreCard
 
 Pathish = Union[str, Path]
 
-# A scorecard's period is written as two columns. Every other report row is
-# an analysis row type, written in its field order, alone or behind a prefix.
-SCORECARD_COLUMNS = [
-    "pi_id", "period_start", "period_end", "paper_count",
-    "o_raw", "o_weighted", "t_equiv", "efficiency", "leadership", "l_fund",
-]
+# Report rows are row types in field order; a scorecard's period takes two columns.
+SCORECARD_COLUMNS = ["pi_id", "period_start", "period_end", *ScoreCard._fields[2:]]
 COHORT_COLUMNS = ["grouping", "group", "n", "metric", *MetricSummary._fields]
 BIN_COLUMNS = ["step", *TimeBin._fields]
 
@@ -81,11 +77,7 @@ def _write_plot(out_dir: Pathish, name: str, rows: list[Sequence]) -> Path:
 
 
 def emit_scorecards(cards: Sequence[ScoreCard], out_dir: Pathish, fmt: str = "csv") -> list[Path]:
-    rows = [
-        (c.pi_id, *c.period, c.paper_count, c.o_raw, c.o_weighted, c.t_equiv,
-         c.efficiency, c.leadership, c.l_fund)
-        for c in sorted(cards, key=lambda c: c.pi_id)
-    ]
+    rows = [(c.pi_id, *c.period, *c[2:]) for c in sorted(cards, key=lambda c: c.pi_id)]
     return [_write_rows(out_dir, "scorecards", SCORECARD_COLUMNS, rows, fmt)]
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import fileio
 from .model import Gender, GrantRecord, InvestigatorProfile, JournalYearIF, PublicationRecord, Rank
@@ -34,27 +34,15 @@ MAX_PAPERS_MEAN = 700
 _TIER_BOUNDS = (2, 6, 10)
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(NamedTuple):
     seed: int = 42
     n_pis: int = 100
     n_journals: int = 40
     years: tuple[int, int] = (2008, 2013)
     papers_per_pi_mean: float = 8.0
 
-    def __post_init__(self):
-        if self.n_pis < 0 or self.n_journals < 0:
-            raise ValueError("sizes must be >= 0")
-        if self.years[0] > self.years[1]:
-            raise ValueError("years span must be ordered")
-        # A chained comparison also refuses NaN, on which the Poisson draw would never end.
-        if not 0 <= self.papers_per_pi_mean <= MAX_PAPERS_MEAN:
-            raise ValueError(f"papers_per_pi_mean must lie in [0, {MAX_PAPERS_MEAN}], "
-                             f"got {self.papers_per_pi_mean}")
 
-
-@dataclass(frozen=True)
-class SynthDataset:
+class SynthDataset(NamedTuple):
     publications: tuple[PublicationRecord, ...]
     journals: tuple[JournalYearIF, ...]
     profiles: tuple[InvestigatorProfile, ...]
@@ -93,10 +81,18 @@ def _draw_tier(draw) -> int:
 def generate(config: SynthConfig) -> SynthDataset:
     """Build the whole dataset in one fixed generation order.
 
-    The draws are those of ``random.Random(config.seed)``'s randrange,
-    randint, choices and a Poisson product loop, made without the calls'
-    overhead, so a seed gives the same records as those calls would.
+    The draws are those of ``random.Random(config.seed)``'s randrange, randint, choices and
+    a Poisson product loop, made without the calls' overhead, so a seed gives the same
+    records as those calls would. A bad config raises ValueError before any draw.
     """
+    if config.n_pis < 0 or config.n_journals < 0:
+        raise ValueError("sizes must be >= 0")
+    if config.years[0] > config.years[1]:
+        raise ValueError("years span must be ordered")
+    # A chained comparison also refuses NaN, on which the Poisson draw would never end.
+    if not 0 <= config.papers_per_pi_mean <= MAX_PAPERS_MEAN:
+        raise ValueError(f"papers_per_pi_mean must lie in [0, {MAX_PAPERS_MEAN}], "
+                         f"got {config.papers_per_pi_mean}")
     rng = random.Random(config.seed)
     draw = rng.random
     below = _randbelow(rng)

@@ -13,10 +13,9 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import neg, sub, truediv
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class DivisorMode(enum.Enum):
@@ -32,8 +31,13 @@ class DivisorMode(enum.Enum):
     HALF_POW = "half_pow"
 
 
-@dataclass(frozen=True)
-class ToughnessTable:
+class _ToughnessTableFields(NamedTuple):
+    cutoffs: tuple[float, ...]
+    divisor_mode: DivisorMode
+    level_sizes: tuple[int, ...]
+
+
+class ToughnessTable(_ToughnessTableFields):
     """Weight lookup once a corpus has been levelled.
 
     ``cutoffs`` holds the minimum impact factor of each level from the top,
@@ -44,11 +48,10 @@ class ToughnessTable:
     cannot hold counts that disagree.
     """
 
-    cutoffs: tuple[float, ...]
-    divisor_mode: DivisorMode
-    level_sizes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # Also refuses a table with no levels: it would need -1 cutoffs.
         if len(self.cutoffs) != len(self.level_sizes) - 1:
             raise ValueError(f"{len(self.level_sizes)} level size(s) need one cutoff per "
@@ -60,6 +63,7 @@ class ToughnessTable:
         if min(self.level_sizes) < 0:
             raise ValueError(f"level sizes must be >= 0, got {min(self.level_sizes)}")
         self.base_count  # refuses too few papers for the levels
+        return self
 
     @property
     def level_count(self) -> int:

@@ -34,6 +34,7 @@ from leadindex.model import (
     ValidatedDataset,
     validate_dataset,
 )
+from leadindex.stats import significance_mark
 from leadindex.toughness import DivisorMode, ToughnessTable
 
 
@@ -877,6 +878,15 @@ class TestReports:
         assert groups <= {"1", "2", "3"}
         for group in groups:
             assert sum(1 for r in rows if r["group"] == group) == 6
+        # Every class holds two or more investigators, so each other class's
+        # row carries a p in [0, 1] and the mark significance_mark gives for
+        # it; some of them are marked, so a constant mark cannot pass.
+        compared = [r for r in rows if r["group"] != "1"]
+        assert compared
+        for row in compared:
+            assert 0 <= float(row["p"]) <= 1, row
+            assert row["mark"] == significance_mark(float(row["p"])), row
+        assert any(row["mark"] for row in compared)
 
     def test_trend_covers_whole_span(self, dataset_dir, tmp_path):
         code = main(["report-trend", *dataset_flags(dataset_dir),
@@ -885,6 +895,20 @@ class TestReports:
         assert code == 0
         rows = list(csv.DictReader((tmp_path / "trend.csv").open()))
         assert [r["year"] for r in rows] == [str(y) for y in range(2008, 2014)]
+        # A span wider than the synth years (2008-2013): the years outside
+        # carry n 0 and null metrics, the years inside their cohort means.
+        wide = tmp_path / "wide"
+        code = main(["report-trend", *dataset_flags(dataset_dir),
+                     "--table", str(dataset_dir / "table.csv"),
+                     "--span", "2005:2015", "--format", "json", "--out-dir", str(wide)])
+        assert code == 0
+        points = {p["year"]: p for p in json.loads((wide / "trend.json").read_text())}
+        assert list(points) == list(range(2005, 2016))
+        metrics = ("leadership", "o_weighted", "efficiency", "t_equiv")
+        for year in (2005, 2015):
+            assert points[year]["n"] == 0, points[year]
+            assert all(points[year][m] is None for m in metrics), points[year]
+        assert points[2008]["n"] > 0, points[2008]
 
     def test_bins_with_exclusions(self, dataset_dir, tmp_path):
         code = main(["report-bins", *dataset_flags(dataset_dir),

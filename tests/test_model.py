@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import time
 
@@ -24,6 +26,7 @@ from leadindex.model import (
     check_journal_columns,
     validate_dataset,
 )
+from leadindex.toughness import DivisorMode, ToughnessTable
 
 
 class TestPublicationRecord:
@@ -86,7 +89,7 @@ def test_grant_amount_must_be_non_negative():
             GrantRecord("P1", 2010, bad, "CNY")
 
 
-# Each input record type, valid values for its fields in order, and one bad
+# Each checked value type, valid values for its fields in order, and one bad
 # value for each check of its constructor.
 RECORD_CASES = [
     (PublicationRecord,
@@ -107,13 +110,23 @@ RECORD_CASES = [
     (GrantRecord,
      dict(pi_id="P1", year=2010, amount=5e4, currency="CNY"),
      [("pi_id", ""), ("amount", -1.0), ("amount", math.inf), ("currency", "")]),
+    (ScoreCard,
+     dict(pi_id="P1", period=(2010, 2012), paper_count=2, o_raw=5.0, o_weighted=9.0,
+          t_equiv=1.5, efficiency=6.0, leadership=7.3, l_fund=0.01),
+     [("paper_count", 0), ("t_equiv", None), ("leadership", math.nan),
+      ("l_fund", math.inf)]),
+    (ToughnessTable,
+     dict(cutoffs=(5.0, 2.0), divisor_mode=DivisorMode.HALF_POW, level_sizes=(3, 6, 14)),
+     [("cutoffs", (5.0,)), ("cutoffs", (2.0, 5.0)), ("cutoffs", (5.0, math.nan)),
+      ("level_sizes", (3, -1, 14)), ("level_sizes", (1, 1, 3))]),
 ]
 BAD_VALUES = [(cls, values, field, bad)
               for cls, values, cases in RECORD_CASES for field, bad in cases]
 
 
 class TestInputRecords:
-    """The four input records are tuples that check their values when built."""
+    """The four input records, ScoreCard and ToughnessTable are tuples that
+    check their values when built, given by position or by keyword."""
 
     @pytest.mark.parametrize("cls, values, _", RECORD_CASES,
                              ids=[c[0].__name__ for c in RECORD_CASES])
@@ -297,6 +310,19 @@ class TestValidateDataset:
     def test_fields_after_profiles_are_keyword_only(self, small_dataset):
         with pytest.raises(TypeError):
             ValidatedDataset(small_dataset.publications, small_dataset.profiles, ("w",))
+
+    @pytest.mark.parametrize("name", ["columns", "_ifs", "extra"])
+    def test_frozen(self, small_dataset, name):
+        with pytest.raises(AttributeError):
+            setattr(small_dataset, name, ())
+        with pytest.raises(AttributeError):
+            delattr(small_dataset, name)
+
+    def test_copy_and_pickle_keep_the_row_views(self, small_dataset):
+        for clone in (copy.copy(small_dataset), pickle.loads(pickle.dumps(small_dataset))):
+            assert clone == small_dataset
+            assert clone.resolved_if == small_dataset.resolved_if
+            assert clone._by_pi == small_dataset._by_pi
 
 
 class TestIFFallback:

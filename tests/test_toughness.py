@@ -1,6 +1,5 @@
 """Toughness level construction and weight lookup."""
 
-import dataclasses
 import math
 import random
 import time
@@ -333,8 +332,7 @@ class TestTableInvariants:
 
     def test_counts_are_derived_not_stored(self):
         table = ToughnessTable((5.0, 2.0), DivisorMode.HALF_POW, (3, 6, 14))
-        assert [f.name for f in dataclasses.fields(table)] == [
-            "cutoffs", "divisor_mode", "level_sizes"]
+        assert list(table._fields) == ["cutoffs", "divisor_mode", "level_sizes"]
         assert table.total_papers == 23
         assert table.base_count == 23 // 4
         for name in ("total_papers", "base_count", "level_count", "weights"):
