@@ -4,7 +4,8 @@ Parsing is strict: exact headers, exact column counts, no whitespace or
 type coercion. Every malformed row is reported with its line number, and
 all problems in a file are collected before raising. Writers emit the
 canonical form the readers accept, with floats in repr form so a
-write/read cycle reproduces values exactly.
+write/read cycle reproduces values exactly. A nonzero float below the
+normal range is written, but the readers refuse it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import sys
 from itertools import chain, islice, repeat
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,6 +29,7 @@ from .model import (
     Rank,
     check_grant_columns,
     check_journal_columns,
+    check_profile_columns,
     check_publication_columns,
 )
 from .toughness import DivisorMode, ToughnessTable, top_level_size
@@ -72,7 +75,18 @@ def _parse_float(text: str, field: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise _RowError(f"{field}: not a finite number: {text!r}")
+    # A nonzero cell that rounds to the subnormal grid, or to zero, does not
+    # hold its own value: "3e-324" reads as 4.9e-324, "1e-400" as 0.0.
+    if abs(value) < sys.float_info.min and (value or _nonzero_mantissa(text)):
+        raise _RowError(f"{field}: below the normal float range: {text!r}")
     return value
+
+
+def _nonzero_mantissa(text: str) -> bool:
+    """Whether a number's digits before its exponent include a nonzero one
+    (int() reads each Unicode decimal digit as float() does)."""
+    mantissa = text.replace("E", "e").partition("e")[0]
+    return any(map(int, mantissa.lstrip("+-").replace(".", "")))
 
 
 def _plain(cells: list) -> None:
@@ -97,6 +111,10 @@ def _float_column(cells: list) -> list[float]:
     _plain(cells)
     if not all(map(math.isfinite, values)):
         raise ValueError("a cell is not a finite number")
+    if min(values, default=1.0) < sys.float_info.min:  # a negative, a zero or a refusal
+        for cell, value in zip(cells, values):
+            if abs(value) < sys.float_info.min:
+                _parse_float(cell, "")
     return values
 
 
@@ -179,12 +197,6 @@ def _check_corpus(columns: list[list]) -> list[list]:
         if value < 0:
             raise ValueError(f"{name}: must be >= 0, got {value}")
     return columns
-
-
-def _records(record) -> Callable:
-    """A check that builds ``record`` of each row through its constructor, the
-    one copy of the record's rules, and keeps the records as one column."""
-    return lambda columns: [list(map(record, *columns))]
 
 
 def _made(record, check: Callable) -> Callable:
@@ -367,7 +379,7 @@ def read_journal_columns(path: Pathish) -> list[list]:
 
 
 def read_profiles(path: Pathish) -> list[InvestigatorProfile]:
-    return _read_columns(path, _PROFILES, _records(InvestigatorProfile))[0]
+    return _read_columns(path, _PROFILES, _made(InvestigatorProfile, check_profile_columns))[0]
 
 
 def read_grants(path: Pathish) -> list[GrantRecord]:

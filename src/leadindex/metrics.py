@@ -6,10 +6,12 @@ paper's value by the investigator's credit share and normalizes by O, so a
 sole author always has T = 1 and larger teams push T up. Efficiency is
 E = O/T and leadership is their geometric mean L = sqrt(O*E) = O/sqrt(T).
 
-The public functions are the one kernel: score_all and trend call them on
-their (year, IF, weighted IF, share) tuples, as a caller may on a list of
-ScoredPapers. Each sum is one math.fsum, so the algebraic identities
-between the three L formulations survive large corpora.
+score_all and trend pass their (year, IF, weighted IF, share) tuples to
+output_raw, output_weighted and efficiency, as a caller may pass a list of
+ScoredPapers. They take T from _time, the sum equivalent_time returns once
+O is known, and L as O/sqrt(T), not through leadership(). Each sum is one
+math.fsum, so the algebraic identities between the three L formulations
+survive large corpora.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from array import array
 from bisect import bisect_right
 from functools import cached_property
 from itertools import compress, groupby, islice, repeat
-from operator import eq, getitem, itemgetter
+from operator import eq, getitem, is_not, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .credit import check_credit
@@ -186,6 +186,24 @@ class InvestigatorProfile(_InvestigatorProfileFields):
                 raise ValueError("currency required when total_funding is set")
         return tuple.__new__(cls, (pi_id, country, tier, gender, birth_year, rank,
                                    total_funding, currency))
+
+
+def check_profile_columns(columns: Sequence[list]) -> Sequence[list]:
+    """Run InvestigatorProfile's checks over its eight columns, in field order; return them.
+
+    Each rule is screened over its columns at once. Where the screen fails,
+    InvestigatorProfile is built from each row, so the first row refused
+    raises the constructor's own text.
+    """
+    pi_ids, countries, tiers, _, _, _, fundings, currencies = columns
+    funded = list(map(is_not, fundings, repeat(None)))
+    amounts = list(compress(fundings, funded))
+    if not (all(pi_ids) and all(countries) and set(tiers).issubset(TIERS)
+            and all(map(math.isfinite, amounts)) and min(amounts, default=0.0) >= 0
+            and all(compress(currencies, funded))):
+        for row in zip(*columns):
+            InvestigatorProfile(*row)
+    return columns
 
 
 class _GrantFields(NamedTuple):
@@ -490,12 +508,16 @@ def apply_funding(
     profiles: Iterable[InvestigatorProfile],
     totals: Mapping[str, tuple[float, str]],
 ) -> list[InvestigatorProfile]:
-    """Profiles with grant totals filled in; grant data wins over profile fields."""
+    """Profiles with grant totals filled in; grant data wins over profile fields.
+
+    Each funded profile is built through InvestigatorProfile, not _make:
+    ``totals`` is the caller's, and aggregate_grants is only one source of
+    them, so the constructor checks each new total and its currency.
+    """
     out = []
     for p in profiles:
         if p.pi_id in totals:
             amount, currency = totals[p.pi_id]
-            # The constructor, not _replace, so the new total is checked.
             p = InvestigatorProfile(p.pi_id, p.country, p.tier, p.gender,
                                     p.birth_year, p.rank, amount, currency)
         out.append(p)

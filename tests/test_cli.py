@@ -141,7 +141,7 @@ class TestExitCodes:
         assert f"{pubs}:2: field larger than field limit" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("citations, impact", [("5", "1e-320"), ("1" * 400, "2.5")],
+    @pytest.mark.parametrize("citations, impact", [("5", "2.5e-308"), ("1" * 400, "2.5")],
                              ids=["quotient-inf", "citations-past-float"])
     def test_paper_count_out_of_float_range_is_1(self, tmp_path, capsys, citations, impact):
         corpus = tmp_path / "corpus.csv"
@@ -480,7 +480,8 @@ class TestScore:
     def test_subnormal_impact_factor_is_1_not_a_wrong_t(self, tmp_path, capsys,
                                                         command, window):
         """Two 3-author papers give T = 18/11 at any IF; at IF 5e-324 the
-        quotients round to the subnormal grid and T would read 2.0."""
+        quotients would round to the subnormal grid and T read 2.0, so the
+        cell is refused where it is read."""
         files = {
             "journals": ["journal,year,impact_factor", "J,2000,{if_}"],
             "profiles": [",".join(fileio.PROFILES_HEADER), "P,US,1,,,,,"],
@@ -505,7 +506,8 @@ class TestScore:
                 assert t == round(18 / 11, 5)  # reports keep six significant digits
         assert codes == {"1e-10": 0, "5e-324": 1}
         err = capsys.readouterr().err
-        assert "error: investigator P: metric below the normal float range in 2000-2000" in err
+        journals = tmp_path / "5e-324" / "journals.csv"
+        assert f"{journals}:2: impact_factor: below the normal float range: '5e-324'" in err
         out = tmp_path / "5e-324" / "out"
         assert not out.exists() or not any(out.iterdir())
 
@@ -1005,7 +1007,7 @@ NON_FINITE = re.compile(r"\b(inf|nan|infinity)\b", re.IGNORECASE)
 
 impact_factors = st.one_of(
     st.just(0.0),
-    st.floats(min_value=0.0, max_value=50.0),
+    st.floats(min_value=0.0, max_value=50.0, allow_subnormal=False),  # as the readers take
     st.floats(min_value=1e150, max_value=1e300),
 )
 
@@ -1066,6 +1068,111 @@ class TestAnyAcceptedDataset:
                             assert card["t_equiv"] >= 1.0
                             assert card["leadership"] == pytest.approx(
                                 card["o_weighted"] / math.sqrt(card["t_equiv"]), rel=2e-5)
+
+
+@pytest.fixture(scope="module")
+def seed3_dir(tmp_path_factory):
+    """The ``synth --seed 3 --pis 5`` dataset, whose files CI pins."""
+    root = tmp_path_factory.mktemp("seed3")
+    assert main(["synth", "--seed", "3", "--pis", "5", "--out-dir", str(root)]) == 0
+    return root
+
+
+SEED3_FILES = ("publications", "journals", "profiles", "grants", "toughness_corpus")
+
+
+def seed3_copy(seed3_dir, root, quoted=(), lines=None):
+    """The seed-3 files under ``root``: the first cell of the first data row
+    quoted in each file named in ``quoted``, and ``lines`` (a map from file
+    name to {line number: row}) in place of those lines."""
+    root.mkdir(parents=True)
+    for name in SEED3_FILES:
+        rows = (seed3_dir / f"{name}.csv").read_text().split("\n")
+        for number, row in (lines or {}).get(name, {}).items():
+            rows[number - 1] = row
+        if name in quoted:
+            first, rest = rows[1].split(",", 1)
+            rows[1] = f'"{first}",{rest}'
+        (root / f"{name}.csv").write_text("\n".join(rows))
+    return root
+
+
+def correlate(root, out, grants=None):
+    """``correlate`` on the files under ``root`` for US investigators, as json."""
+    return main(["correlate", *dataset_flags(root),
+                 "--corpus", str(root / "toughness_corpus.csv"),
+                 "--grants", str(grants or root / "grants.csv"),
+                 "--period", "2008:2013", "--country", "US", "--format", "json",
+                 "--out-dir", str(out)])
+
+
+class TestSeed3Files:
+    """The row loop and the grant totals on the seed-3 files, in-process."""
+
+    @pytest.mark.parametrize("quoted", [
+        *((name,) for name in SEED3_FILES[1:]), SEED3_FILES[1:]], ids="+".join)
+    def test_row_loop_reads_what_the_columnar_path_reads(self, seed3_dir, tmp_path, quoted):
+        """One quoted first cell sends a file through the row loop, which must
+        give the bytes the columnar path gives."""
+        outputs = {}
+        for form, names in (("plain", ()), ("quoted", quoted)):
+            root = seed3_copy(seed3_dir, tmp_path / form, names)
+            assert correlate(root, root / "correlate") == 0
+            assert main(["toughness-build", "--corpus", str(root / "toughness_corpus.csv"),
+                         "--out", str(root / "table.csv")]) == 0
+            outputs[form] = {path.name: path.read_bytes()
+                             for path in [*(root / "correlate").iterdir(), root / "table.csv"]}
+        for name in quoted:
+            assert ((tmp_path / "plain" / f"{name}.csv").read_bytes()
+                    != (tmp_path / "quoted" / f"{name}.csv").read_bytes())
+        assert sorted(outputs["plain"]) == ["correlations.json", "funding_scatter.tsv",
+                                            "table.csv"]
+        assert outputs["quoted"] == outputs["plain"]
+
+    def test_negative_count_refused_on_both_paths(self, seed3_dir, tmp_path, capsys):
+        """A negative total_citations on file line 101: the plain copy's first
+        chunk fails the corpus check and is read row by row, as the quoted
+        copy is from line 2. Both give the same error."""
+        row = (seed3_dir / "toughness_corpus.csv").read_text().split("\n")[100].split(",")
+        row[2] = "-1"
+        errors = {}
+        for form, quoted in (("plain", ()), ("quoted", ("toughness_corpus",))):
+            root = seed3_copy(seed3_dir, tmp_path / form, quoted,
+                              {"toughness_corpus": {101: ",".join(row)}})
+            code = main(["toughness-build", "--corpus", str(root / "toughness_corpus.csv"),
+                         "--out", str(root / "table.csv")])
+            assert code == 1
+            assert not (root / "table.csv").exists()
+            errors[form] = capsys.readouterr().err.replace(str(root), "ROOT")
+        assert ("ROOT/toughness_corpus.csv:101: total_citations: must be >= 0, got -1"
+                in errors["plain"])
+        assert errors["quoted"] == errors["plain"]
+
+    def test_grant_totals_do_not_depend_on_row_order(self, seed3_dir, tmp_path):
+        """One scored US investigator gets the amounts 696853.0, 0.1, 0.2, 0.2:
+        summed with + they give 696853 in this order and 696854 reversed, at the
+        six significant digits reports write; fsum gives 696854 both ways."""
+        root = seed3_copy(seed3_dir, tmp_path / "data")
+        assert main(["score", *dataset_flags(root), "--corpus",
+                     str(root / "toughness_corpus.csv"), "--period", "2008:2013",
+                     "--out-dir", str(tmp_path / "score")]) == 0
+        us = {row["pi_id"] for row in csv.DictReader((root / "profiles.csv").open())
+              if row["country"] == "US"}
+        pi = next(row["pi_id"]
+                  for row in csv.DictReader((tmp_path / "score" / "scorecards.csv").open())
+                  if row["pi_id"] in us and row["leadership"])
+        rows = [f"{pi},2010,{amount},USD" for amount in ("696853.0", "0.1", "0.2", "0.2")]
+        outputs = {}
+        for order in ("forward", "reversed"):
+            grants = tmp_path / order / "grants.csv"
+            grants.parent.mkdir()
+            grants.write_text("\n".join(["pi_id,year,amount,currency", *rows]) + "\n")
+            assert correlate(root, tmp_path / order / "correlate", grants) == 0
+            outputs[order] = {name: (tmp_path / order / "correlate" / name).read_bytes()
+                              for name in ("funding_scatter.tsv", "correlations.json")}
+            rows.reverse()
+        assert b"696854" in outputs["forward"]["funding_scatter.tsv"]
+        assert outputs["reversed"] == outputs["forward"]
 
 
 class TestConsoleScript:

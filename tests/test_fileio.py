@@ -49,6 +49,7 @@ from leadindex.model import (
     Rank,
     check_grant_columns,
     check_journal_columns,
+    check_profile_columns,
     check_publication_columns,
 )
 from leadindex.toughness import DivisorMode, ToughnessTable, build_table
@@ -194,6 +195,21 @@ class TestStrictParsing:
             with pytest.raises(FileFormatError) as exc:
                 read_journals(path)
             assert exc.value.errors[0].startswith(f"{path}:2: impact_factor")
+
+    @pytest.mark.parametrize("chunk", [1, 2048])
+    def test_float_below_the_normal_range_rejected(self, tmp_path, chunk):
+        """A nonzero cell that rounds to the subnormal grid or to zero does not
+        hold its own value and is refused, on either path; zeros are kept."""
+        path = tmp_path / "ifs.csv"
+        cells = ["5e-324", "3e-324", "2.225073858507201e-308", "1e-400", "-1e-400",
+                 "2.2250738585072014e-308", "0", "-0.0", "0e-400"]
+        self.write_lines(path, ["journal,year,impact_factor",
+                                *(f"JA,{2000 + k},{cell}" for k, cell in enumerate(cells))])
+        with mock.patch.object(fileio, "_CHUNK", chunk), pytest.raises(FileFormatError) as exc:
+            read_journals(path)
+        assert exc.value.errors == [
+            f"{path}:{k + 2}: impact_factor: below the normal float range: {cell!r}"
+            for k, cell in enumerate(cells[:5])]
 
     @pytest.mark.parametrize("value", ["True", "FALSE", "1", "yes", ""])
     def test_bool_accepts_only_lowercase_words(self, tmp_path, value):
@@ -373,7 +389,8 @@ class TestToughnessTableFile:
         with pytest.raises(FileFormatError, match="cutoffs must be non-increasing"):
             read_toughness_table(path)
 
-    @given(st.lists(st.tuples(st.integers(0, 10**6), st.floats(0, 1e3)), max_size=30),
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.floats(0, 1e3, allow_subnormal=False)),
+                    max_size=30),
            st.integers(1, 12), st.sampled_from(DivisorMode))
     @settings(deadline=None)
     def test_every_built_table_passes_the_metadata_rules(self, corpus, levels, mode):
@@ -484,7 +501,8 @@ CHARS = st.characters(blacklist_categories=("Cs",), blacklist_characters="\0")
 TEXT = st.text(CHARS, min_size=1, max_size=12)
 YEARS = st.integers(-10**6, 10**6)
 COUNTS = st.integers(0, 10**12)
-FLOATS = st.floats(min_value=0.0, allow_infinity=False)  # finite and >= 0
+# Finite, >= 0 and never subnormal, which the readers refuse.
+FLOATS = st.floats(min_value=0.0, allow_infinity=False, allow_subnormal=False)
 
 
 @st.composite
@@ -519,7 +537,8 @@ def expected_base_count(total, levels, mode):
 def toughness_tables(draw):
     """Any cutoffs, over level sizes that sum to at least 2**levels - 1 papers."""
     levels = draw(st.integers(1, 12))
-    cutoffs = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+    cutoffs = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                                      allow_subnormal=False),
                             min_size=levels - 1, max_size=levels - 1))
     mode = draw(st.sampled_from(DivisorMode))
     level_sizes = draw(st.lists(COUNTS, min_size=levels, max_size=levels))
@@ -784,33 +803,46 @@ TEXT_CELLS = (["a", "b", "J1", "P1"], [
     "", ",", 'q"t', "l\nm", "l\r\nm", "c\rd", "\x0b", "v\u2028w", "a\0b", " ", "\x85"])
 YEAR_CELLS = (["2010", "1999", "-3"], [" 1", "7 ", "1_0", "1.5", "x", "+4", "-0", "00007"])
 FLOAT_CELLS = (["1.5", "0.0", "2", "3.25"],
-               ["-0.0", "1e3", "nan", "inf", "-1.0", "1e400", "2.5 ", "\t2.5", "2_5"])
+               ["-0.0", "1e3", "nan", "inf", "-1.0", "1e400", "2.5 ", "\t2.5", "2_5", "5e-324"])
 PUBLICATION_CELLS = [
     TEXT_CELLS, TEXT_CELLS, YEAR_CELLS, TEXT_CELLS,
     (["1", "2", "3"], ["0", "100000", "100001", "-1"]),
     (["1", "2"], ["0", "4", "x"]), (["1", "2"], ["0", "3"]),
     (["true", "false"], ["True", ""])]
+PROFILE_CELLS = [
+    TEXT_CELLS, TEXT_CELLS, (["1", "2", "3"], ["0", "4"]),
+    (["", "male", "female"], ["x", "professor"]), (["", "1970"], ["x"]),
+    (["", "professor"], ["male"]), (["", "5.0"], ["-0.0", "-1.0", "x"]),
+    (["", "USD"], [])]
+
+
+def _records(record):
+    """A check that builds ``record`` of each row through its constructor, the
+    one copy of the record's rules, and keeps the records as one column: the
+    reference a format's column check must agree with."""
+    return lambda columns: [list(map(record, *columns))]
+
+
 # Per format: its columns, check and the cells of each column.
 CELL_FORMATS = {
-    "publications": (fileio._PUBLICATIONS, fileio._records(PublicationRecord), PUBLICATION_CELLS),
+    "publications": (fileio._PUBLICATIONS, _records(PublicationRecord), PUBLICATION_CELLS),
     # The readers' check: columns checked once per distinct key, no record per row.
     "publication columns": (fileio._PUBLICATIONS, check_publication_columns, PUBLICATION_CELLS),
     # The record readers' checks: the checked columns' records, built with _make.
     "publication records": (
         fileio._PUBLICATIONS, fileio._made(PublicationRecord, check_publication_columns),
         PUBLICATION_CELLS),
-    "journals": (fileio._JOURNALS, fileio._records(JournalYearIF),
+    "journals": (fileio._JOURNALS, _records(JournalYearIF),
                  [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS]),
     "journal columns": (fileio._JOURNALS, check_journal_columns,
                         [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS]),
     "journal records": (fileio._JOURNALS, fileio._made(JournalYearIF, check_journal_columns),
                         [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS]),
-    "profiles": (fileio._PROFILES, fileio._records(InvestigatorProfile), [
-        TEXT_CELLS, TEXT_CELLS, (["1", "2", "3"], ["0", "4"]),
-        (["", "male", "female"], ["x", "professor"]), (["", "1970"], ["x"]),
-        (["", "professor"], ["male"]), (["", "5.0"], ["-0.0", "-1.0", "x"]),
-        (["", "USD"], [])]),
-    "grants": (fileio._GRANTS, fileio._records(GrantRecord),
+    "profiles": (fileio._PROFILES, _records(InvestigatorProfile), PROFILE_CELLS),
+    "profile records": (
+        fileio._PROFILES, fileio._made(InvestigatorProfile, check_profile_columns),
+        PROFILE_CELLS),
+    "grants": (fileio._GRANTS, _records(GrantRecord),
                [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS, TEXT_CELLS]),
     "grant columns": (fileio._GRANTS, check_grant_columns,
                       [TEXT_CELLS, YEAR_CELLS, FLOAT_CELLS, TEXT_CELLS]),
@@ -895,17 +927,29 @@ class TestColumnarMatchesRowLoop:
         ("journals", "journal columns", "journals"), ("grants", "grant columns", "grants"),
         ("journal records", "journal records", "journals"),
         ("grant records", "grant records", "grants"),
-        ("publication records", "publication records", "publications")])
-    @given(data=st.data())
+        ("publication records", "publication records", "publications"),
+        ("profile records", "profile records", "profiles")])
+    @given(data=st.data(), chunk=st.sampled_from([1, 3, 2048]), pinned=st.none())
+    # Pinned files: a plain row, then that row with the named cells replaced
+    # (a format without those columns reads two plain rows). Each fails once
+    # one rule of check_profile_columns is deleted, whatever hypothesis saved.
+    @example(data=None, chunk=2048, pinned={"class": "0"})
+    @example(data=None, chunk=2048, pinned={"total_funding": "5.0", "currency": ""})
+    @example(data=None, chunk=2048, pinned={"total_funding": "-1.0", "currency": "USD"})
     @settings(max_examples=100)
     def test_column_check_reads_what_the_record_reader_reads(self, name, columns, records,
-                                                             data):
+                                                             data, chunk, pinned):
         """A format's column check, or its record reader's check, keeps the rows
         the record's constructor builds, and refuses the rows it refuses, with
         the same errors."""
         fields, check, cells = CELL_FORMATS[columns]
-        text = data.draw(csv_texts(fields, cells))
-        with mock.patch.object(fileio, "_CHUNK", data.draw(st.sampled_from([1, 3, 2048]))):
+        if pinned is None:
+            text = data.draw(csv_texts(fields, cells))
+        else:
+            plain_row = [plain[-1] for plain, _ in cells]
+            row = [pinned.get(field, cell) for (field, _), cell in zip(fields, plain_row)]
+            text = "\n".join(",".join(r) for r in ([f for f, _ in fields], plain_row, row))
+        with mock.patch.object(fileio, "_CHUNK", chunk):
             got = _read_rows(text, fields, check)
             expected = _read_rows(text, fields, CELL_FORMATS[records][1])
         assert _typed(got) == _typed(expected)

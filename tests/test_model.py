@@ -24,6 +24,7 @@ from leadindex.model import (
     apply_funding,
     check_grant_columns,
     check_journal_columns,
+    check_profile_columns,
     validate_dataset,
 )
 from leadindex.toughness import DivisorMode, ToughnessTable
@@ -170,13 +171,18 @@ class TestInputRecords:
 
     @given(text=st.sampled_from(["", "J"]), other=st.sampled_from(["", "USD"]),
            amount=st.sampled_from([0.0, -0.0, 1.5, -1.0, -5e-324, math.inf, -math.inf,
-                                   math.nan]))
-    def test_column_checks_refuse_a_row_as_its_constructor_does(self, text, other, amount):
+                                   math.nan]),
+           tier=st.sampled_from([0, 1, 3, 4]), funded=st.booleans(),
+           currency=st.sampled_from([None, "", "USD"]))
+    def test_column_checks_refuse_a_row_as_its_constructor_does(self, text, other, amount,
+                                                                tier, funded, currency):
         """For one row, a column check raises exactly when the record's
         constructor does, with its message."""
+        profile = (text, other, tier, None, None, None, amount if funded else None, currency)
         for build, check, row in [
                 (JournalYearIF, check_journal_columns, (text, 2010, amount)),
-                (GrantRecord, check_grant_columns, (text, 2010, amount, other))]:
+                (GrantRecord, check_grant_columns, (text, 2010, amount, other)),
+                (InvestigatorProfile, check_profile_columns, profile)]:
             try:
                 build(*row)
                 expected = None
@@ -198,6 +204,14 @@ class TestInputRecords:
         with pytest.raises(ValueError, match="currency must be non-empty"):
             check_grant_columns([["P1"] * 2, [2010] * 2, [1.0] * 2, ["USD", ""]])
         assert check_journal_columns([[], [], []]) == [[], [], []]
+        profiles = [["P1", "P2", "P3"], ["CN"] * 3, [1, 2, 3], *[[None] * 3] * 3,
+                    [None, 5.0, 2.0], [None, "CNY", None]]
+        with pytest.raises(ValueError, match="currency required when total_funding is set"):
+            check_profile_columns(profiles)
+        profiles[2] = [1, 4, 3]
+        with pytest.raises(ValueError, match="tier must be 1, 2 or 3, got 4"):
+            check_profile_columns(profiles)
+        assert check_profile_columns([[]] * 8) == [[]] * 8
 
     @pytest.mark.parametrize("total", [math.nan, math.inf, -1.0])
     def test_apply_funding_checks_the_new_total(self, total):
