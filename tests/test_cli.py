@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import gc
+import hashlib
 import io
 import json
 import logging
@@ -140,6 +141,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{pubs}:2: field larger than field limit" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, row, error", [
+        ("publications", "X1,P0001,2010,J0001,100001,1,1,true",
+         "author_count must be <= 100000"),
+        pytest.param("journals", f"J0001,{1:05000d},1.5", "year: integer too long: 5000 characters",
+                     marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                              reason="no digit limit on int() before Python 3.10.7")),
+    ], ids=["author-cap", "5000-digit-year"])
+    def test_row_past_a_column_reader_limit_is_1(self, dataset_dir, tmp_path, capsys,
+                                                 name, row, error):
+        """The column readers the CLI calls refuse the row by file and line,
+        with no traceback; the explicit flag overrides the config file's path."""
+        bad = tmp_path / f"{name}.csv"
+        header = (dataset_dir / f"{name}.csv").read_text().split("\n", 1)[0]
+        bad.write_text(f"{header}\n{row}\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: str(dataset_dir / f"{key}.csv")
+                                      for key in ("publications", "journals", "profiles")}))
+        assert main(["validate", "--config", str(config), f"--{name}", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:2: {error}" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == [bad, config]
 
     @pytest.mark.parametrize("citations, impact", [("5", "2.5e-308"), ("1" * 400, "2.5")],
                              ids=["quotient-inf", "citations-past-float"])
@@ -918,7 +942,7 @@ class TestReports:
                      "--period", "2008:2013", "--step", "0.5",
                      "--max-t", "20", "--out-dir", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / "bins.csv").exists()
+        assert list(csv.DictReader((tmp_path / "bins.csv").open()))
         assert (tmp_path / "bins_excluded.csv").exists()
         assert (tmp_path / "bins.tsv").exists()
 
@@ -1072,13 +1096,15 @@ class TestAnyAcceptedDataset:
 
 @pytest.fixture(scope="module")
 def seed3_dir(tmp_path_factory):
-    """The ``synth --seed 3 --pis 5`` dataset, whose files CI pins."""
+    """The ``synth --seed 3 --pis 5`` dataset, whose files SEED3_SUMS pins."""
     root = tmp_path_factory.mktemp("seed3")
     assert main(["synth", "--seed", "3", "--pis", "5", "--out-dir", str(root)]) == 0
     return root
 
 
 SEED3_FILES = ("publications", "journals", "profiles", "grants", "toughness_corpus")
+# sha256sum -c format; the installed console script's CI step checks it too.
+SEED3_SUMS = Path(__file__).with_name("seed3.sha256")
 
 
 def seed3_copy(seed3_dir, root, quoted=(), lines=None):
@@ -1107,26 +1133,47 @@ def correlate(root, out, grants=None):
 
 
 class TestSeed3Files:
-    """The row loop and the grant totals on the seed-3 files, in-process."""
+    """The pinned digests, the row loop and the grant totals on the seed-3
+    files, in-process."""
+
+    def test_files_and_tables_match_their_pinned_digests(self, seed3_dir, tmp_path):
+        """The generator replays random.Random's draws, so a Python that drew
+        otherwise would move every seeded dataset, the benchmark's inputs
+        included. With 14 levels, levels 2, 3 and 5-7 of the corpus's table are
+        empty and repeat the cutoff above them."""
+        corpus = str(seed3_dir / "toughness_corpus.csv")
+        for name, flags in (("table_levels14", ["--levels", "14"]),
+                            ("table_half_pow", ["--divisor-mode", "half_pow"])):
+            assert main(["toughness-build", "--corpus", corpus, *flags,
+                         "--out", str(tmp_path / f"{name}.csv")]) == 0
+        pinned = dict(reversed(line.split("  ")) for line in SEED3_SUMS.read_text().splitlines())
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in [*seed3_dir.iterdir(), *tmp_path.iterdir()]} == pinned
 
     @pytest.mark.parametrize("quoted", [
-        *((name,) for name in SEED3_FILES[1:]), SEED3_FILES[1:]], ids="+".join)
+        *((name,) for name in SEED3_FILES), SEED3_FILES], ids="+".join)
     def test_row_loop_reads_what_the_columnar_path_reads(self, seed3_dir, tmp_path, quoted):
         """One quoted first cell sends a file through the row loop, which must
         give the bytes the columnar path gives."""
         outputs = {}
         for form, names in (("plain", ()), ("quoted", quoted)):
             root = seed3_copy(seed3_dir, tmp_path / form, names)
+            assert main(["score", *dataset_flags(root), "--corpus",
+                         str(root / "toughness_corpus.csv"), "--period", "2008:2013",
+                         "--if-fallback", "nearest-prior-year",
+                         "--out-dir", str(root / "score")]) == 0
             assert correlate(root, root / "correlate") == 0
             assert main(["toughness-build", "--corpus", str(root / "toughness_corpus.csv"),
                          "--out", str(root / "table.csv")]) == 0
             outputs[form] = {path.name: path.read_bytes()
-                             for path in [*(root / "correlate").iterdir(), root / "table.csv"]}
+                             for path in [*(root / "score").iterdir(),
+                                          *(root / "correlate").iterdir(), root / "table.csv"]}
         for name in quoted:
             assert ((tmp_path / "plain" / f"{name}.csv").read_bytes()
                     != (tmp_path / "quoted" / f"{name}.csv").read_bytes())
         assert sorted(outputs["plain"]) == ["correlations.json", "funding_scatter.tsv",
-                                            "table.csv"]
+                                            "scorecards.csv", "table.csv"]
+        assert all(outputs["plain"].values())
         assert outputs["quoted"] == outputs["plain"]
 
     def test_negative_count_refused_on_both_paths(self, seed3_dir, tmp_path, capsys):

@@ -889,7 +889,10 @@ def csv_texts(draw, columns, cells):
 
 
 class TestColumnarMatchesRowLoop:
-    @pytest.mark.parametrize("name", sorted(CELL_FORMATS))
+    # The _records references run in no reader; the column-check test compares
+    # each reader's check with them.
+    @pytest.mark.parametrize("name", sorted(
+        CELL_FORMATS.keys() - {"publications", "journals", "profiles", "grants"}))
     @given(data=st.data(), chunk=st.sampled_from([1, 2, 3, 5]),
            limit=st.sampled_from([0, 3, 2**16]), header_line=st.sampled_from([1, 2]))
     @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
