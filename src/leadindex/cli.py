@@ -195,6 +195,11 @@ def cmd_report_cohort(args) -> Iterable[Path]:
     if constant:
         log.info("note: %d comparison(s) of constant groups with different means "
                  "took p = 0 by convention", len(constant))
+    if args.reference_group is not None:
+        n = next((g.n for g in report.groups if g.group == args.reference_group), 0)
+        if n < 2:
+            log.info("note: reference group %s has %d scored investigator(s); "
+                     "no group was compared with it", args.reference_group, n)
     return reports.emit_cohort(report, args.out_dir, args.format)
 
 

@@ -144,7 +144,7 @@ def _valuer(dataset: ValidatedDataset, table: ToughnessTable, scenario: CreditSc
     weighted: dict[float, float] = {}
     shares: dict[tuple[int, int, int], float] = {}
     _, _, years, _, counts, positions, spans, _ = dataset.columns
-    ifs, by_pi = dataset._ifs, dataset._by_pi
+    ifs, by_pi = dataset.ifs, dataset.rows_by_pi
 
     def valued(pi_id: str, period: tuple[int, int]) -> list[tuple[int, float, float, float]]:
         start, end = period

@@ -11,9 +11,9 @@ import enum
 import math
 from array import array
 from bisect import bisect_right
-from functools import cached_property
 from itertools import compress, groupby, islice, repeat
 from operator import eq, getitem, is_not, itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .credit import check_credit
@@ -266,8 +266,10 @@ class ScoreCard(_ScoreCardFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         metrics = (self.o_raw, self.o_weighted, self.t_equiv, self.efficiency, self.leadership)
+        if self.paper_count < 0:
+            raise ValueError(f"paper_count must be >= 0, got {self.paper_count}")
         if self.paper_count == 0:
-            if any(m is not None for m in metrics):
+            if any(m is not None for m in metrics + (self.l_fund,)):
                 raise ValueError("unscored card (paper_count 0) must carry no metrics")
         elif None in metrics:
             raise ValueError("scored card must carry all metrics")
@@ -281,48 +283,49 @@ class ScoreCard(_ScoreCardFields):
         return self.paper_count > 0
 
 
-class _DatasetFields(NamedTuple):
-    columns: tuple[list, ...]
-    profiles: Mapping[str, InvestigatorProfile]
-    warnings: tuple[str, ...] = ()
-
-
-class ValidatedDataset(_DatasetFields):
+class ValidatedDataset(NamedTuple):
     """Cross-checked analysis inputs with impact factors resolved per paper.
 
     ``columns`` holds the publications as one list per PublicationRecord
-    field, in field order, each in input order. Scoring reads them through
-    per-investigator row indices; the records are built only when
-    ``publications`` is read.
+    field, in field order, each in input order, and ``ifs`` each row's
+    impact factor. ``rows_by_pi`` holds each investigator's corresponding
+    rows, ascending, through which scoring reads the columns.
     """
 
-    # No __slots__: the instance dict, which == and repr skip, holds the cached views, each
-    # row's impact factor (_ifs) and each investigator's ascending corresponding rows (_by_pi).
-    def __new__(cls, columns, profiles, *, warnings=(), _ifs=None, _by_pi=None):
-        self = super().__new__(cls, columns, profiles, warnings)
-        self.__dict__.update(_ifs=_ifs or [], _by_pi=_by_pi or {})
-        return self
-
-    def __getnewargs_ex__(self):  # for copy and pickle, which then restore __dict__
-        return (self.columns, self.profiles), {"warnings": self.warnings}
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot set or delete {name!r}: ValidatedDataset is frozen")
-    __delattr__ = __setattr__
-
-    @cached_property
-    def publications(self) -> tuple[PublicationRecord, ...]:
-        """The records in input order, built on first read; no CLI command reads them."""
-        return tuple(map(PublicationRecord._make, zip(*self.columns)))
-
-    @cached_property
-    def resolved_if(self) -> Mapping[str, float]:
-        """Impact factor per paper_id, built on first read; scoring does not read it."""
-        return dict(zip(self.columns[0], self._ifs))
+    columns: tuple[list, ...]
+    profiles: Mapping[str, InvestigatorProfile]
+    ifs: list[float]
+    rows_by_pi: Mapping[str, array]
+    warnings: tuple[str, ...]
 
     @property
     def pi_ids(self) -> list[str]:
         return sorted(self.profiles)
+
+    # No command reads the two views below; perfbench/replay.py does.
+    @property
+    def publications(self) -> tuple[PublicationRecord, ...]:
+        """The records in input order, built on each read."""
+        return tuple(map(PublicationRecord._make, zip(*self.columns)))
+
+    @property
+    def resolved_if(self) -> Mapping[str, float]:
+        """Impact factor per paper_id, read-only."""
+        return MappingProxyType(_resolved_if(self.columns[0], self.ifs))
+
+
+_last_resolved_if: tuple = ((), (), {})
+
+
+def _resolved_if(paper_ids: list[str], ifs: list[float]) -> dict[str, float]:
+    """dict(zip(paper_ids, ifs)), reused while the same two lists come again, as
+    they do for a caller that reads ``resolved_if`` once per paper."""
+    global _last_resolved_if
+    last_ids, last_values, mapping = _last_resolved_if
+    if paper_ids is not last_ids or ifs is not last_values:
+        mapping = dict(zip(paper_ids, ifs))
+        _last_resolved_if = (paper_ids, ifs, mapping)
+    return mapping
 
 
 class _JournalYears(dict):
@@ -464,13 +467,7 @@ def validate_columns(
             f"{non_corresponding} non-corresponding record(s) excluded from scoring"
         )
 
-    return ValidatedDataset(
-        columns=tuple(columns),
-        profiles=profile_map,
-        warnings=tuple(warnings),
-        _ifs=ifs,
-        _by_pi=by_pi,
-    )
+    return ValidatedDataset(tuple(columns), profile_map, ifs, by_pi, tuple(warnings))
 
 
 def aggregate_grants(grants: Iterable[Sequence]) -> dict[str, tuple[float, str]]:

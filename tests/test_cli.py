@@ -4,6 +4,7 @@ import contextlib
 import csv
 import gc
 import hashlib
+import importlib
 import io
 import json
 import logging
@@ -683,11 +684,10 @@ class TestTwoEntryPaths:
                 if isinstance(expected, list):
                     assert got == expected
                     continue
-                assert got.publications == expected.publications == tuple(papers)
-                assert [(k, repr(v)) for k, v in got.resolved_if.items()] == [
-                    (k, repr(v)) for k, v in expected.resolved_if.items()]
-                assert got._by_pi == expected._by_pi
-                assert got.warnings == expected.warnings
+                assert got == expected
+                assert list(zip(*got.columns)) == papers
+                # == takes -0.0 for 0.0; repr tells them apart.
+                assert list(map(repr, got.ifs)) == list(map(repr, expected.ifs))
                 for scenario in CreditScenario:
                     assert score_all(got, (2010, 2012), self.table, scenario) == score_all(
                         expected, (2010, 2012), self.table, scenario)
@@ -893,12 +893,14 @@ class TestCommandTable:
 
 
 class TestReports:
-    def test_cohort_partitions_scored_investigators(self, dataset_dir, tmp_path):
+    def test_cohort_partitions_scored_investigators(self, dataset_dir, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="leadindex")
         code = main(["report-cohort", *dataset_flags(dataset_dir),
                      "--table", str(dataset_dir / "table.csv"),
                      "--period", "2008:2013", "--grouping", "class",
                      "--reference-group", "1", "--out-dir", str(tmp_path)])
         assert code == 0
+        assert not [m for m in caplog.messages if "reference group" in m]
         rows = list(csv.DictReader((tmp_path / "cohort_class.csv").open()))
         groups = {r["group"] for r in rows}
         assert groups <= {"1", "2", "3"}
@@ -913,6 +915,26 @@ class TestReports:
             assert 0 <= float(row["p"]) <= 1, row
             assert row["mark"] == significance_mark(float(row["p"])), row
         assert any(row["mark"] for row in compared)
+
+    @pytest.mark.parametrize("group, n", [("9", 0), ("3", 1)])
+    def test_reference_group_too_small_is_noted(self, dataset_dir, tmp_path, caplog,
+                                                group, n):
+        """A reference group with fewer than two scored investigators marks no
+        row, and one note names it and its count."""
+        root = write_inputs(tmp_path / "data", dataset_dir, [
+            PublicationRecord(f"p{i}", f"P{i}", 2010, "JA", 1, 1) for i in range(1, 6)
+        ], [JournalYearIF("JA", 2010, 2.0)],
+            [InvestigatorProfile(f"P{i}", "CN", tier)
+             for i, tier in enumerate((1, 2, 2, 2, 3), 1)])
+        caplog.set_level(logging.INFO, logger="leadindex")
+        out = tmp_path / "out"
+        assert main([*command_args("report-cohort", root, out),
+                     "--reference-group", group]) == 0
+        assert [m for m in caplog.messages if "reference group" in m] == [
+            f"note: reference group {group} has {n} scored investigator(s); "
+            "no group was compared with it"]
+        rows = list(csv.DictReader((out / "cohort_class.csv").open()))
+        assert rows and all(r["p"] == "" and r["mark"] == "" for r in rows)
 
     def test_trend_covers_whole_span(self, dataset_dir, tmp_path):
         code = main(["report-trend", *dataset_flags(dataset_dir),
@@ -957,7 +979,7 @@ class TestReports:
         assert rows[0]["group"] == "overall"
         assert (tmp_path / "funding_scatter.tsv").exists()
 
-    def test_cohort_of_squares_beyond_float_range(self, dataset_dir, tmp_path):
+    def test_cohort_of_squares_beyond_float_range(self, dataset_dir, tmp_path, caplog):
         """Class 1: one last-of-100 author at IF 1e155 and one ordinary investigator."""
         root = write_inputs(tmp_path / "data", dataset_dir, [
             PublicationRecord("p1", "P1", 2010, "JBIG", 100, 100),
@@ -968,7 +990,9 @@ class TestReports:
             [InvestigatorProfile("P1", "CN", 1), InvestigatorProfile("P2", "CN", 1),
              InvestigatorProfile("P3", "CN", 2), InvestigatorProfile("P4", "CN", 2)])
         out = tmp_path / "out"
+        caplog.set_level(logging.INFO, logger="leadindex")
         assert main([*command_args("report-cohort", root, out), "--reference-group", "2"]) == 0
+        assert not [m for m in caplog.messages if "reference group" in m]
         rows = list(csv.DictReader((out / "cohort_class.csv").open()))
         assert {r["group"] for r in rows} == {"1", "2"}
         for row in rows:
@@ -995,6 +1019,7 @@ class TestReports:
         assert ("note: 4 comparison(s) of constant groups with different means "
                 "took p = 0 by convention\n") in proc.stderr
         assert "UserWarning" not in proc.stderr
+        assert "reference group" not in proc.stderr
         assert ".py:" not in proc.stderr
         rows = list(csv.DictReader((out / "cohort_class.csv").open()))
         compared = {r["metric"]: (r["p"], r["mark"]) for r in rows if r["group"] == "2"}
@@ -1231,3 +1256,21 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert (tmp_path / "publications.csv").exists()
+
+    def test_declared_script_is_cli_main(self):
+        """pyproject.toml's [project.scripts] entry resolves to cli.main, and run
+        as pip's wrapper runs it, sys.exit(main()), it exits 0 on --help and 2
+        on an unknown subcommand."""
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        entry = re.search(r'^leadindex = "([\w.]+):(\w+)"$', scripts, re.M)
+        assert entry, scripts
+        module, name = entry.groups()
+        assert getattr(importlib.import_module(module), name) is main
+        wrapper = f"import sys; from {module} import {name}; sys.exit({name}())"
+        for argv, code, stream in ((["--help"], 0, "stdout"),
+                                   (["no-such-command"], 2, "stderr")):
+            proc = subprocess.run([sys.executable, "-c", wrapper, *argv],
+                                  capture_output=True, text=True)
+            assert proc.returncode == code, proc.stderr
+            assert getattr(proc, stream).startswith("usage: ")

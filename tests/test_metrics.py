@@ -324,17 +324,17 @@ def per_paper_valuer(dataset, table, scenario):
     """The reference valuation: a_index and weighted_if called for every paper."""
     tied = scenario is CreditScenario.TIED
 
+    _, _, years, _, counts, positions, spans, _ = dataset.columns
+
     def valued(pi_id, period):
         start, end = period
         papers = []
-        for k in dataset._by_pi.get(pi_id, ()):
-            rec = dataset.publications[k]
-            if not start <= rec.year <= end:
+        for k in dataset.rows_by_pi.get(pi_id, ()):
+            if not start <= years[k] <= end:
                 continue
-            raw = dataset.resolved_if[rec.paper_id]
-            share = a_index(rec.author_count, rec.credit_position,
-                            rec.tie_span if tied else 1)
-            papers.append((rec.year, raw, weighted_if(table, raw), share))
+            raw = dataset.ifs[k]
+            share = a_index(counts[k], positions[k], spans[k] if tied else 1)
+            papers.append((years[k], raw, weighted_if(table, raw), share))
         return papers
 
     return valued

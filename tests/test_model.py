@@ -27,6 +27,7 @@ from leadindex.model import (
     check_profile_columns,
     validate_dataset,
 )
+from leadindex.metrics import score_all
 from leadindex.toughness import DivisorMode, ToughnessTable
 
 
@@ -114,8 +115,8 @@ RECORD_CASES = [
     (ScoreCard,
      dict(pi_id="P1", period=(2010, 2012), paper_count=2, o_raw=5.0, o_weighted=9.0,
           t_equiv=1.5, efficiency=6.0, leadership=7.3, l_fund=0.01),
-     [("paper_count", 0), ("t_equiv", None), ("leadership", math.nan),
-      ("l_fund", math.inf)]),
+     [("paper_count", 0), ("paper_count", -1), ("t_equiv", None),
+      ("leadership", math.nan), ("l_fund", math.inf)]),
     (ToughnessTable,
      dict(cutoffs=(5.0, 2.0), divisor_mode=DivisorMode.HALF_POW, level_sizes=(3, 6, 14)),
      [("cutoffs", (5.0,)), ("cutoffs", (2.0, 5.0)), ("cutoffs", (5.0, math.nan)),
@@ -227,6 +228,8 @@ class TestScoreCard:
     def test_unscored_with_metrics_rejected(self):
         with pytest.raises(ValueError):
             ScoreCard("P1", (2010, 2012), 0, 1.0, None, None, None, None)
+        with pytest.raises(ValueError, match="unscored card"):
+            ScoreCard("P1", (2010, 2012), 0, None, None, None, None, None, l_fund=5.0)
 
     def test_scored_requires_all_metrics(self):
         with pytest.raises(ValueError):
@@ -243,14 +246,15 @@ class TestScoreCard:
 
 class TestValidateDataset:
     def test_happy_path_resolves_ifs(self, small_dataset):
-        assert small_dataset.resolved_if["p1"] == 4.0
-        assert small_dataset.resolved_if["p3"] == 4.5
+        ifs = dict(zip(small_dataset.columns[0], small_dataset.ifs))
+        assert ifs["p1"] == 4.0
+        assert ifs["p3"] == 4.5
         assert small_dataset.pi_ids == ["P1", "P2", "P3"]
 
     def test_corresponding_rows_per_investigator(self, small_dataset):
         paper_ids = small_dataset.columns[0]
-        assert [paper_ids[k] for k in small_dataset._by_pi["P1"]] == ["p1", "p2"]
-        assert "P3" not in small_dataset._by_pi
+        assert [paper_ids[k] for k in small_dataset.rows_by_pi["P1"]] == ["p1", "p2"]
+        assert "P3" not in small_dataset.rows_by_pi
 
     def test_non_corresponding_counted_in_warnings(self, small_dataset):
         assert any("non-corresponding" in w for w in small_dataset.warnings)
@@ -313,19 +317,44 @@ class TestValidateDataset:
         assert any("duplicate impact factor entry for JA 2010" in m for m in err.value.errors)
         assert any("duplicate profile for pi_id P1" in m for m in err.value.errors)
 
-    def test_equal_whether_or_not_resolved_if_was_read(self):
-        inputs = ([PublicationRecord("p1", "P1", 2011, "JA", 1, 1)],
-                  [JournalYearIF("JA", 2010, 2.0)], [InvestigatorProfile("P1", "CN", 1)],
-                  IFFallback.NEAREST_PRIOR_YEAR)
-        read, unread = validate_dataset(*inputs), validate_dataset(*inputs)
-        assert read.resolved_if == {"p1": 2.0}
-        assert read == unread
-
-    def test_fields_after_profiles_are_keyword_only(self, small_dataset):
+    def test_views_follow_the_fields(self):
+        """publications and resolved_if are built from the columns and ifs of
+        the dataset read, whichever dataset was read before it."""
+        pubs = [PublicationRecord("p1", "P1", 2011, "JA", 1, 1)]
+        profiles = [InvestigatorProfile("P1", "CN", 1)]
+        two, three = (validate_dataset(pubs, [JournalYearIF("JA", 2011, v)], profiles)
+                      for v in (2.0, 3.0))
+        for dataset, value in ((two, 2.0), (three, 3.0), (two, 2.0)):
+            assert dataset.resolved_if == {"p1": value}
+            assert dataset.publications == tuple(pubs)
         with pytest.raises(TypeError):
-            ValidatedDataset(small_dataset.publications, small_dataset.profiles, ("w",))
+            two.resolved_if["p1"] = 5.0
 
-    @pytest.mark.parametrize("name", ["columns", "_ifs", "extra"])
+    def test_fields_are_the_whole_dataset(self, small_dataset):
+        assert ValidatedDataset._fields == (
+            "columns", "profiles", "ifs", "rows_by_pi", "warnings")
+        assert ValidatedDataset(*small_dataset) == small_dataset
+        assert ValidatedDataset._make(small_dataset) == small_dataset
+        columns, profiles, _, _, warnings = small_dataset
+        assert ValidatedDataset(columns, profiles, [], {}, warnings) != small_dataset
+
+    def test_datasets_differing_in_one_if_are_unequal(self):
+        pubs = [PublicationRecord("p1", "P1", 2011, "JA", 1, 1)]
+        profiles = [InvestigatorProfile("P1", "CN", 1)]
+        two, three = (validate_dataset(pubs, [JournalYearIF("JA", 2011, v)], profiles)
+                      for v in (2.0, 3.0))
+        assert two.columns == three.columns and two.profiles == three.profiles
+        assert two != three
+
+    def test_replaced_warnings_score_the_same_cards(self, small_dataset):
+        table = ToughnessTable((5.0, 2.0), DivisorMode.HALF_POW, (3, 6, 14))
+        replaced = small_dataset._replace(warnings=("x",))
+        assert replaced.warnings == ("x",)
+        expected = score_all(small_dataset, (2000, 2020), table)
+        assert any(card.scored for card in expected)
+        assert score_all(replaced, (2000, 2020), table) == expected
+
+    @pytest.mark.parametrize("name", ["columns", "ifs", "extra"])
     def test_frozen(self, small_dataset, name):
         with pytest.raises(AttributeError):
             setattr(small_dataset, name, ())
@@ -335,8 +364,6 @@ class TestValidateDataset:
     def test_copy_and_pickle_keep_the_row_views(self, small_dataset):
         for clone in (copy.copy(small_dataset), pickle.loads(pickle.dumps(small_dataset))):
             assert clone == small_dataset
-            assert clone.resolved_if == small_dataset.resolved_if
-            assert clone._by_pi == small_dataset._by_pi
 
 
 class TestIFFallback:
@@ -353,7 +380,7 @@ class TestIFFallback:
             pubs, self.journals, [InvestigatorProfile("P1", "CN", 1)],
             fallback=IFFallback.NEAREST_PRIOR_YEAR,
         )
-        assert dataset.resolved_if["p1"] == 3.0
+        assert dataset.ifs == [3.0]
 
     def test_no_prior_year_still_fails(self):
         pubs = [PublicationRecord("p1", "P1", 2008, "JA", 1, 1)]
@@ -371,7 +398,7 @@ class TestIFFallback:
         profiles = [InvestigatorProfile("P1", "CN", 1)]
         dataset = validate_dataset(pubs, self.journals, profiles,
                                    fallback=IFFallback.NEAREST_PRIOR_YEAR)
-        assert dataset.resolved_if == {"p1": 3.0, "p2": 2.0}
+        assert dict(zip(dataset.columns[0], dataset.ifs)) == {"p1": 3.0, "p2": 2.0}
         with pytest.raises(DataValidationError) as err:
             validate_dataset([PublicationRecord("p3", "P1", 2011, "JB", 1, 1)],
                              self.journals, profiles, fallback=IFFallback.NEAREST_PRIOR_YEAR)
@@ -387,9 +414,9 @@ class TestIFFallback:
         dataset = validate_dataset(pubs, journals, [InvestigatorProfile("P1", "CN", 1)],
                                    fallback=IFFallback.NEAREST_PRIOR_YEAR)
         assert time.perf_counter() - t0 < 5.0
-        assert len(dataset.resolved_if) == 50000
-        for rec in pubs[:100]:
-            assert dataset.resolved_if[rec.paper_id] == int(rec.journal[1:]) + (rec.year - 1) / 10000
+        assert len(dataset.ifs) == 50000
+        for rec, value in zip(pubs[:100], dataset.ifs):
+            assert value == int(rec.journal[1:]) + (rec.year - 1) / 10000
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -418,7 +445,8 @@ class TestIFFallback:
                 validate_dataset(pubs, journals, profiles, fallback)
             assert err.value.errors == sorted(missing)
         else:
-            assert validate_dataset(pubs, journals, profiles, fallback).resolved_if == expected
+            dataset = validate_dataset(pubs, journals, profiles, fallback)
+            assert dict(zip(dataset.columns[0], dataset.ifs)) == expected
 
 
 class TestGrants:
@@ -475,7 +503,7 @@ def test_enums_expose_stable_labels():
 def _validate_row_by_row(publications, journals, profiles, fallback):
     """The per-record validation loop, the reference for validate_dataset.
 
-    Returns (resolved_if, corresponding paper_ids per investigator, warnings),
+    Returns (the IF per paper_id, corresponding paper_ids per investigator, warnings),
     or the sorted errors.
     """
     errors, entries = [], {}
@@ -536,7 +564,7 @@ class TestDuplicatePaperIdsInAnyOrder:
         expected = _validate_row_by_row(pubs, journals, profiles, IFFallback.OFF)
         if len(set(ids)) == len(ids):
             dataset = validate_dataset(pubs, journals, profiles)
-            assert list(dataset.resolved_if) == [f"p{k}" for k in ids]
+            assert dataset.columns[0] == [f"p{k}" for k in ids]
             return
         with pytest.raises(DataValidationError) as err:
             validate_dataset(pubs, journals, profiles)
@@ -562,7 +590,7 @@ class TestValidationMatchesRowByRow:
     def test_same_datasets_and_errors(self, papers, duplicate, dropped, ifs, pi_ids,
                                       fallback):
         """Checked a column at a time, resolved once per (journal, year): the same
-        resolved_if, corresponding papers, scoring IFs and warnings, or the same
+        IFs, corresponding papers and warnings, or the same
         sorted errors, as the loop over records."""
         pubs = [PublicationRecord(f"p{i}", pi, y, j, 2, 1, 1, c)
                 for i, (pi, y, j, c) in enumerate(papers)]
@@ -578,12 +606,10 @@ class TestValidationMatchesRowByRow:
             assert exc.errors == expected
             return
         resolved, by_pi, warnings = expected
-        assert [(k, repr(v)) for k, v in dataset.resolved_if.items()] == [
+        paper_ids = dataset.columns[0]
+        assert [(k, repr(v)) for k, v in zip(paper_ids, dataset.ifs)] == [
             (k, repr(v)) for k, v in resolved.items()]
         assert dataset.warnings == warnings
-        paper_ids = dataset.columns[0]
         for pi in pi_ids:
-            rows = dataset._by_pi.get(pi, ())
+            rows = dataset.rows_by_pi.get(pi, ())
             assert [paper_ids[k] for k in rows] == by_pi.get(pi, [])
-            assert [repr(dataset._ifs[k]) for k in rows] == [
-                repr(resolved[paper_ids[k]]) for k in rows]
